@@ -1,72 +1,32 @@
 // Command-line experiment runner: run any method/dataset/model/density
 // combination and optionally checkpoint the resulting sparse model + mask.
 //
-//   ./build/examples/fedtiny_cli --method fedtiny --dataset svhns \
+//   ./build/fedtiny_cli --method fedtiny --dataset svhns \
 //       --model resnet18 --density 0.01 --alpha 0.5 --seed 1 \
 //       --save-prefix /tmp/svhns_sparse
 //
-// Flags default to the quickstart configuration; --help lists them.
+// Flags default to the quickstart configuration; --help lists them with
+// their environment variables (harness/knobs.cpp holds the table).
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "harness/experiment.h"
+#include "harness/knobs.h"
 #include "harness/runner.h"
 #include "io/checkpoint.h"
 
 namespace {
 
-void usage() {
-  std::printf(
-      "fedtiny_cli — run one federated pruning experiment\n"
-      "  --method M    fedavg|snip|synflow|flpqsu|prunefl|feddst|lotteryfl|\n"
-      "                fedtiny|fedtiny_vanilla|adaptive_bn|vanilla|small_model\n"
-      "  --dataset D   cifar10s|cifar100s|cinic10s|svhns\n"
-      "  --model A     resnet18|vgg11\n"
-      "  --density F   target density (default 0.01)\n"
-      "  --alpha F     Dirichlet non-iid alpha (default 0.5)\n"
-      "  --seed N      RNG seed (default 1)\n"
-      "  --pool N      candidate pool size (default: C* = 0.1/density)\n"
-      "  --num-clients K       federation size (default 10)\n"
-      "  --clients-per-round M sample M of K clients per round (default 0 = all)\n"
-      "  --workers N           client-training lanes (default 1; 0 = executor auto)\n"
-      "  --sparse-exchange     ship real serialized payloads (measured comm bytes)\n"
-      "  --sparse-exec F       CSR forward below density F at eval (default 0 = dense)\n"
-      "  --sparse-train        masked sparse local SGD (needs --sparse-exec > 0)\n"
-      "  --kernels M           kernel engine: reference|fast (default fast)\n"
-      "  --codec C             sparse-exchange payload codec (needs --sparse-exchange):\n"
-      "                        none|int8|q4|topk8|topk4 (default none = v1 fp32 wire)\n"
-      "  --quant-bits N        top-k value quantization width: 4|8 (default per codec)\n"
-      "  --topk-frac F         top-k kept fraction, (0,1] (default 0.08)\n"
-      "                        Env fallbacks when flags are absent: FEDTINY_CODEC,\n"
-      "                        FEDTINY_QUANT_BITS, FEDTINY_TOPK_FRAC (via with_env_knobs;\n"
-      "                        explicit flags always win, env typos warn and are ignored)\n"
-      "  Robust aggregation & adversaries:\n"
-      "  --aggregation P       fedavg|norm_clip|trimmed_mean|coord_median (default fedavg)\n"
-      "  --trim-frac F         trimmed_mean per-coordinate trim fraction, (0,0.5) (default 0.3)\n"
-      "  --clip-tau F          fixed norm_clip threshold (default 0 = adaptive median)\n"
-      "  --adversary-frac F    fraction of clients marked adversarial (default 0)\n"
-      "  --adversary-mode M    none|label_flip|scale|sign_flip|free_ride|corrupt\n"
-      "  --adversary-scale F   update scaling for --adversary-mode scale (default -10)\n"
-      "                        Env fallbacks: FEDTINY_AGGREGATION, FEDTINY_TRIM_FRAC,\n"
-      "                        FEDTINY_CLIP_TAU, FEDTINY_ADVERSARY_{FRAC,MODE,SCALE}\n"
-      "  Simulated deployment (default: ideal fleet, all times 0):\n"
-      "  --sim-device-flops F  mean device speed, FLOP/s (0 = infinite)\n"
-      "  --sim-bandwidth F     mean link bandwidth, bytes/s (0 = infinite)\n"
-      "  --sim-latency F       per-transfer latency, seconds\n"
-      "  --sim-het F           log-uniform per-client spread factor (1 = none)\n"
-      "  --sim-stragglers F    straggler fraction [0,1]\n"
-      "  --sim-slowdown F      straggler slowdown factor (default 10)\n"
-      "  --availability F      per-round check-in probability (default 1)\n"
-      "  --dropout F           mid-round dropout probability (default 0)\n"
-      "  --deadline F          round deadline, simulated seconds (0 = none)\n"
-      "  --async               async overlapping rounds (FedBuff-style)\n"
-      "  --async-m N           arrivals aggregated per async round (0 = half cohort)\n"
-      "  --staleness-alpha F   staleness discount exponent (default 0.5)\n"
-      "  --save-prefix P   write P.state.bin and P.mask.bin on success\n"
-      "  --help\n"
-      "Scale via FEDTINY_SCALE=tiny|small|paper.\n");
+void usage(std::FILE* out) {
+  std::fprintf(out, "fedtiny_cli — run one federated pruning experiment\n");
+  fedtiny::harness::print_knob_help(out);
+  std::fprintf(out,
+               "  --save-prefix P        write P.state.bin and P.mask.bin on success\n"
+               "  --help\n"
+               "Environment variables fill the knobs the flags leave at their defaults;\n"
+               "malformed ones warn and are ignored. Scale via FEDTINY_SCALE=tiny|small|paper.\n");
 }
 
 }  // namespace
@@ -77,115 +37,35 @@ int main(int argc, char** argv) {
   std::string save_prefix;
 
   for (int i = 1; i < argc; ++i) {
-    auto next = [&](const char* flag) -> const char* {
+    const char* arg = argv[i];
+    try {
+      if (harness::consume_flag(spec, argc, argv, i)) continue;
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "%s: %s\n", arg, e.what());
+      return 2;
+    }
+    if (std::strcmp(arg, "--save-prefix") == 0) {
       if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag);
-        std::exit(2);
+        std::fprintf(stderr, "%s: missing value\n", arg);
+        return 2;
       }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--method") == 0) {
-      spec.method = next("--method");
-    } else if (std::strcmp(argv[i], "--dataset") == 0) {
-      spec.dataset = next("--dataset");
-    } else if (std::strcmp(argv[i], "--model") == 0) {
-      spec.model = next("--model");
-    } else if (std::strcmp(argv[i], "--density") == 0) {
-      spec.density = std::atof(next("--density"));
-    } else if (std::strcmp(argv[i], "--alpha") == 0) {
-      spec.dirichlet_alpha = std::atof(next("--alpha"));
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      spec.seed = static_cast<uint64_t>(std::atoll(next("--seed")));
-    } else if (std::strcmp(argv[i], "--pool") == 0) {
-      spec.pool_size = std::atoi(next("--pool"));
-    } else if (std::strcmp(argv[i], "--num-clients") == 0) {
-      spec.num_clients = std::atoi(next("--num-clients"));
-    } else if (std::strcmp(argv[i], "--clients-per-round") == 0) {
-      spec.clients_per_round = std::atoi(next("--clients-per-round"));
-    } else if (std::strcmp(argv[i], "--workers") == 0) {
-      spec.parallel_clients = std::atoi(next("--workers"));
-    } else if (std::strcmp(argv[i], "--sparse-exchange") == 0) {
-      spec.sparse_exchange = true;
-    } else if (std::strcmp(argv[i], "--sparse-exec") == 0) {
-      spec.sparse_exec_max_density = static_cast<float>(std::atof(next("--sparse-exec")));
-    } else if (std::strcmp(argv[i], "--sparse-train") == 0) {
-      spec.sparse_training = true;
-    } else if (std::strcmp(argv[i], "--kernels") == 0) {
-      spec.kernels = next("--kernels");
-    } else if (std::strcmp(argv[i], "--codec") == 0) {
-      spec.codec = next("--codec");
-    } else if (std::strcmp(argv[i], "--quant-bits") == 0) {
-      spec.quant_bits = std::atoi(next("--quant-bits"));
-    } else if (std::strcmp(argv[i], "--topk-frac") == 0) {
-      spec.topk_frac = std::atof(next("--topk-frac"));
-    } else if (std::strcmp(argv[i], "--aggregation") == 0) {
-      spec.aggregation = next("--aggregation");
-    } else if (std::strcmp(argv[i], "--trim-frac") == 0) {
-      spec.trim_frac = std::atof(next("--trim-frac"));
-    } else if (std::strcmp(argv[i], "--clip-tau") == 0) {
-      spec.clip_tau = std::atof(next("--clip-tau"));
-    } else if (std::strcmp(argv[i], "--adversary-frac") == 0) {
-      spec.adversary_frac = std::atof(next("--adversary-frac"));
-    } else if (std::strcmp(argv[i], "--adversary-mode") == 0) {
-      spec.adversary_mode = next("--adversary-mode");
-    } else if (std::strcmp(argv[i], "--adversary-scale") == 0) {
-      spec.adversary_scale = std::atof(next("--adversary-scale"));
-    } else if (std::strcmp(argv[i], "--sim-device-flops") == 0) {
-      spec.sim.device_flops_per_s = std::atof(next("--sim-device-flops"));
-    } else if (std::strcmp(argv[i], "--sim-bandwidth") == 0) {
-      spec.sim.bandwidth_bps = std::atof(next("--sim-bandwidth"));
-    } else if (std::strcmp(argv[i], "--sim-latency") == 0) {
-      spec.sim.latency_s = std::atof(next("--sim-latency"));
-    } else if (std::strcmp(argv[i], "--sim-het") == 0) {
-      spec.sim.het_spread = std::atof(next("--sim-het"));
-    } else if (std::strcmp(argv[i], "--sim-stragglers") == 0) {
-      spec.sim.straggler_fraction = std::atof(next("--sim-stragglers"));
-    } else if (std::strcmp(argv[i], "--sim-slowdown") == 0) {
-      spec.sim.straggler_slowdown = std::atof(next("--sim-slowdown"));
-    } else if (std::strcmp(argv[i], "--availability") == 0) {
-      spec.sim.availability = std::atof(next("--availability"));
-    } else if (std::strcmp(argv[i], "--dropout") == 0) {
-      spec.sim.dropout = std::atof(next("--dropout"));
-    } else if (std::strcmp(argv[i], "--deadline") == 0) {
-      spec.sim.deadline_s = std::atof(next("--deadline"));
-    } else if (std::strcmp(argv[i], "--async") == 0) {
-      spec.sim.async_rounds = true;
-    } else if (std::strcmp(argv[i], "--async-m") == 0) {
-      spec.sim.async_aggregate_m = std::atoi(next("--async-m"));
-    } else if (std::strcmp(argv[i], "--staleness-alpha") == 0) {
-      spec.sim.staleness_alpha = std::atof(next("--staleness-alpha"));
-    } else if (std::strcmp(argv[i], "--save-prefix") == 0) {
-      save_prefix = next("--save-prefix");
+      save_prefix = argv[++i];
       spec.capture_final = true;
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      usage();
+    } else if (std::strcmp(arg, "--help") == 0) {
+      usage(stdout);
       return 0;
     } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      usage();
+      std::fprintf(stderr, "unknown flag %s\n", arg);
+      usage(stderr);
       return 2;
     }
   }
 
-  // Env knobs (FEDTINY_CODEC, FEDTINY_SIM_*, ...) fill whatever the flags
-  // above left unpinned; explicit flags always win.
   spec = harness::with_env_knobs(std::move(spec));
   harness::Experiment experiment(harness::ScaleConfig::from_env());
-  std::printf("running %s on %s/%s at density %.4g (alpha %.2f, seed %llu, scale %s,\n"
-              "        K=%d, clients/round=%d, workers=%d%s%s%s%s%s%s)\n",
-              spec.method.c_str(), spec.dataset.c_str(), spec.model.c_str(), spec.density,
-              spec.dirichlet_alpha, static_cast<unsigned long long>(spec.seed),
-              experiment.scale().name.c_str(), spec.num_clients, spec.clients_per_round,
-              spec.parallel_clients, spec.sparse_exchange ? ", sparse-exchange" : "",
-              spec.sparse_training ? ", sparse-train" : "",
-              spec.kernels.empty() ? "" : (", kernels=" + spec.kernels).c_str(),
-              spec.codec.empty() ? "" : (", codec=" + spec.codec).c_str(),
-              spec.aggregation.empty() ? "" : (", aggregation=" + spec.aggregation).c_str(),
-              spec.adversary_frac > 0.0
-                  ? (", adversaries=" + spec.adversary_mode + "@" +
-                     std::to_string(spec.adversary_frac))
-                        .c_str()
-                  : "");
+  const std::string knobs = harness::describe_knobs(spec);
+  std::printf("running at scale %s: %s\n", experiment.scale().name.c_str(),
+              knobs.empty() ? "all RunSpec defaults" : knobs.c_str());
   try {
     auto result = experiment.run(spec);
     std::printf("top1_accuracy   %.4f\n", result.accuracy);

@@ -5,7 +5,7 @@
 
 #include "data/partition.h"
 #include "fl/evaluate.h"
-#include "fl/server.h"
+#include "fl/sharded_accumulator.h"
 #include "metrics/comms.h"
 #include "metrics/flops.h"
 #include "tensor/rng.h"
@@ -27,6 +27,9 @@ BNSelectionReport select_coarse_mask(nn::Model& model, const data::Dataset& trai
 
   std::vector<std::vector<Tensor>> winning_bn(pool.size());
   report.candidate_losses.assign(pool.size(), 0.0);
+  // BN-stat arrays are far below the accumulator's shard threshold, so every
+  // fold runs inline; the buffers are reused across candidates.
+  fl::ShardedAccumulator bn_acc;
 
   for (size_t c = 0; c < pool.size(); ++c) {
     // Install candidate: dense weights + candidate mask.
@@ -36,7 +39,7 @@ BNSelectionReport select_coarse_mask(nn::Model& model, const data::Dataset& trai
     if (config.adaptive) {
       // Device-side BN measurement + server-side weighted aggregation
       // (Alg. 1 lines 2-13).
-      fl::StateAccumulator bn_acc;
+      bn_acc.begin_round();
       for (size_t k = 0; k < dev.size(); ++k) {
         if (dev[k].empty()) continue;
         model.begin_stat_refresh();
@@ -45,10 +48,9 @@ BNSelectionReport select_coarse_mask(nn::Model& model, const data::Dataset& trai
           (void)model.forward(batch.x, nn::Mode::kStatRefresh);
         }
         model.finalize_stat_refresh();
-        bn_acc.add(model.bn_stats(), static_cast<double>(dev[k].size()) / total_dev);
+        bn_acc.fold(model.bn_stats(), static_cast<double>(dev[k].size()) / total_dev);
       }
-      winning_bn[c] = bn_acc.average();
-      model.set_bn_stats(winning_bn[c]);
+      if (bn_acc.average_into(winning_bn[c])) model.set_bn_stats(winning_bn[c]);
     }
 
     // Device-side evaluation with the (possibly refreshed) statistics

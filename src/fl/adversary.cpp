@@ -97,14 +97,8 @@ AdversaryMode adversary_mode_from_name(const std::string& name) {
   if (name == "sign_flip") return AdversaryMode::kSignFlip;
   if (name == "free_ride") return AdversaryMode::kFreeRide;
   if (name == "corrupt") return AdversaryMode::kCorrupt;
-  throw std::invalid_argument(
-      "unknown adversary mode: " + name +
-      " (expected none|label_flip|scale|sign_flip|free_ride|corrupt)");
-}
-
-bool adversary_mode_name_valid(const std::string& name) {
-  return name.empty() || name == "none" || name == "label_flip" || name == "scale" ||
-         name == "sign_flip" || name == "free_ride" || name == "corrupt";
+  throw std::invalid_argument("unknown adversary mode: " + name + " (expected " +
+                              kAdversaryModeNames + ")");
 }
 
 const char* adversary_mode_name(AdversaryMode mode) {

@@ -15,9 +15,8 @@ AggregationConfig aggregation_config_from_name(const std::string& name) {
   } else if (name == "coord_median") {
     config.policy = Aggregation::kCoordMedian;
   } else {
-    throw std::invalid_argument(
-        "unknown aggregation policy: " + name +
-        " (expected fedavg|norm_clip|trimmed_mean|coord_median)");
+    throw std::invalid_argument("unknown aggregation policy: " + name + " (expected " +
+                                kAggregationNames + ")");
   }
   return config;
 }
@@ -30,11 +29,6 @@ const char* aggregation_name(Aggregation policy) {
     case Aggregation::kCoordMedian: return "coord_median";
   }
   return "fedavg";
-}
-
-bool aggregation_name_valid(const std::string& name) {
-  return name.empty() || name == "fedavg" || name == "norm_clip" ||
-         name == "trimmed_mean" || name == "coord_median";
 }
 
 }  // namespace fedtiny::fl

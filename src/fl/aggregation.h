@@ -16,8 +16,7 @@ namespace fedtiny::fl {
 [[nodiscard]] AggregationConfig aggregation_config_from_name(const std::string& name);
 [[nodiscard]] const char* aggregation_name(Aggregation policy);
 
-/// True when `name` parses (used by env knobs that warn-and-ignore typos
-/// instead of throwing).
-[[nodiscard]] bool aggregation_name_valid(const std::string& name);
+/// The names aggregation_config_from_name accepts.
+inline constexpr const char* kAggregationNames = "fedavg|norm_clip|trimmed_mean|coord_median";
 
 }  // namespace fedtiny::fl

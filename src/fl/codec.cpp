@@ -295,8 +295,8 @@ CodecConfig config_from_name(const std::string& spelling) {
     cfg.codec = Codec::kTopK;
     cfg.quant_bits = 4;
   } else {
-    throw std::invalid_argument("unknown codec '" + spelling +
-                                "' (expected none|int8|q4|topk8|topk4)");
+    throw std::invalid_argument("unknown codec '" + spelling + "' (expected " + kCodecNames +
+                                ")");
   }
   return cfg;
 }

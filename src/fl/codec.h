@@ -43,6 +43,9 @@ inline constexpr uint64_t kBroadcastClient = ~uint64_t{0};
 /// Canonical CLI/env spelling of a codec ("none", "int8", "q4", "topk8").
 const char* name(Codec c);
 
+/// The spellings config_from_name accepts ("topk" is an alias of "topk8").
+inline constexpr const char* kCodecNames = "none|int8|q4|topk8|topk4";
+
 /// Parse a CLI/env codec spelling. Accepts the four canonical names plus
 /// "topk4" (top-k with 4-bit values); throws std::invalid_argument on
 /// anything else.

@@ -97,8 +97,7 @@ bool reconstruct_update(const SparseUpdatePayload& payload,
 /// Interleave per-prunable-layer tensors with the dense remainder into the
 /// Model::state() layout: sparse_tensors[l] lands at prunable_indices[l],
 /// dense_tensors fill the remaining positions in order. Empty vector when
-/// the counts/indices are inconsistent. Shared by the reconstruct functions
-/// and StateAccumulator::average_sparse.
+/// the counts/indices are inconsistent. Shared by the reconstruct functions.
 std::vector<Tensor> place_state(std::vector<Tensor> sparse_tensors,
                                 const std::vector<Tensor>& dense_tensors,
                                 const std::vector<int>& prunable_indices);

@@ -1,5 +1,5 @@
-// ShardedAccumulator: the streaming replacement for the batch
-// StateAccumulator in the federated round loop.
+// ShardedAccumulator: the server's weighted-mean accumulator, streaming in
+// the federated round loop and folding BN statistics in BN selection.
 //
 // The server never holds more than one uplink plus one packed sum buffer:
 // each arriving client state (dense or sparse-compact) is folded into the
@@ -10,9 +10,9 @@
 // process Executor. Because every operation is per-element
 // (sum[j] += w * src[j]; out[j] = sum[j] * inv), shard boundaries and lane
 // counts cannot change a single bit — any shard/worker count reproduces the
-// serial StateAccumulator bitwise as long as clients fold in the same order,
-// which the trainer guarantees (ascending client order in sync, pop order in
-// async).
+// serial batch oracle (StateAccumulator, tests/fl/state_accumulator.h)
+// bitwise as long as clients fold in the same order, which the trainer
+// guarantees (ascending client order in sync, pop order in async).
 //
 // average_into()/average_sparse_into() write the weighted mean straight into
 // the caller's state tensors (the trainer's global model) instead of
@@ -68,13 +68,13 @@ class ShardedAccumulator {
   void set_reference(const SparseUpdatePayload& update);
 
   /// Fold one dense uplink: sum[j] += weight * state[j], shard-parallel.
-  /// Same mixing rule as StateAccumulator: dense and sparse ingestion must
-  /// not meet in one round (throws std::logic_error).
+  /// Dense and sparse ingestion must not meet in one round (throws
+  /// std::logic_error).
   void fold(const std::vector<Tensor>& state, double weight);
 
   /// Fold one sparse-exchange uplink compactly: O(nnz) per client, no
   /// densify. Payloads disagreeing with the round's first accepted layout
-  /// are dropped (mirrors StateAccumulator::add_sparse).
+  /// are dropped.
   void fold_sparse(const SparseUpdatePayload& update, double weight);
 
   [[nodiscard]] bool empty() const { return total_weight_ == 0.0; }

@@ -11,39 +11,14 @@
 
 namespace fedtiny::harness {
 
-/// Apply the engine/scheduler environment overrides to a spec, so every
-/// bench binary picks the knobs up without per-binary flags:
-///   FEDTINY_SPARSE_EXCHANGE=0|1   ship real serialized payloads
-///   FEDTINY_SPARSE_EXEC=F         CSR eval-forward density threshold
-///   FEDTINY_SPARSE_TRAINING=0|1   masked sparse local SGD
-///   FEDTINY_PARALLEL_CLIENTS=N    client-training lanes (0 = auto)
-///   FEDTINY_CLIENTS_PER_ROUND=N   round subsample size (0 = all K)
-///   FEDTINY_ON_DEMAND_SAMPLES=N   generate-on-demand fleet data, N samples
-///                                 per client (plain-trainer methods only)
-///   FEDTINY_KERNELS=reference|fast kernel engine mode (process-wide)
-///   FEDTINY_CODEC=none|int8|q4|topk8|topk4  sparse-exchange payload codec
-///                                 (fills only specs with no explicit pin;
-///                                 typos warn and are ignored)
-///   FEDTINY_QUANT_BITS=4|8        top-k value quantization width override
-///   FEDTINY_TOPK_FRAC=F           top-k kept fraction override, (0, 1]
-/// Simulated-deployment knobs (fl::SimConfig; unset = ideal fleet):
-///   FEDTINY_SIM_DEVICE_FLOPS=F    mean device speed, FLOP/s (0 = infinite)
-///   FEDTINY_SIM_BANDWIDTH=F       mean link bandwidth, bytes/s (0 = infinite)
-///   FEDTINY_SIM_LATENCY=F         per-transfer link latency, seconds
-///   FEDTINY_SIM_HET=F             log-uniform per-client spread factor
-///   FEDTINY_SIM_STRAGGLERS=F      straggler fraction [0, 1]
-///   FEDTINY_SIM_SLOWDOWN=F        straggler slowdown factor
-///   FEDTINY_SIM_AVAILABILITY=F    per-round check-in probability
-///   FEDTINY_SIM_DROPOUT=F         mid-round dropout probability
-///   FEDTINY_SIM_DEADLINE=F        round deadline, simulated seconds
-///   FEDTINY_ASYNC=0|1             async overlapping rounds (FedBuff-style)
-///   FEDTINY_ASYNC_M=N             arrivals aggregated per async round
-///   FEDTINY_STALENESS_ALPHA=F     async staleness discount exponent
-/// Unset variables leave the spec untouched.
+/// Fill the knobs `spec` leaves at their RunSpec{} defaults from the
+/// environment, so every bench binary picks them up without per-binary flags.
+/// harness/knobs.cpp lists the variables; explicit values win, and a
+/// malformed ambient value warns once and is ignored.
 RunSpec with_env_knobs(RunSpec spec);
 
-/// Run every spec (order-preserving results) after applying the environment
-/// knob overrides above. workers <= 0 selects min(#specs,
+/// Run every spec (order-preserving results) after filling its unpinned
+/// knobs from the environment (with_env_knobs). workers <= 0 selects min(#specs,
 /// hardware_concurrency - 2). Honors FEDTINY_WORKERS.
 std::vector<RunResult> run_all(const Experiment& experiment, const std::vector<RunSpec>& specs,
                                int workers = 0);

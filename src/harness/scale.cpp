@@ -2,6 +2,8 @@
 
 #include <cstdlib>
 
+#include "harness/knobs.h"
+
 namespace fedtiny::harness {
 
 ScaleConfig ScaleConfig::tiny() { return ScaleConfig{}; }
@@ -43,9 +45,12 @@ ScaleConfig ScaleConfig::paper() {
 
 ScaleConfig ScaleConfig::from_env() {
   const char* env = std::getenv("FEDTINY_SCALE");
-  const std::string scale = env != nullptr ? env : "tiny";
+  const std::string scale = env != nullptr ? env : "";
   if (scale == "paper") return paper();
   if (scale == "small") return small();
+  if (!scale.empty() && scale != "tiny") {
+    warn_ambient("FEDTINY_SCALE", env, "expected tiny|small|paper; using tiny");
+  }
   return tiny();
 }
 

@@ -28,7 +28,8 @@ struct ScaleConfig {
   static ScaleConfig tiny();
   static ScaleConfig small();
   static ScaleConfig paper();
-  /// Read FEDTINY_SCALE (default "tiny").
+  /// Read FEDTINY_SCALE (default "tiny"; an unknown value warns once and
+  /// falls back to "tiny").
   static ScaleConfig from_env();
 };
 

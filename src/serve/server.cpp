@@ -142,8 +142,8 @@ std::future<InferResult> InferenceServer::submit_tier(int tier, Tensor input) {
     // still ours — fail the request instead of dropping it silently.
     InferResult r;
     r.tier = tier;
-    req.done.set_value(std::move(r));
     stats_.record_failed();
+    req.done.set_value(std::move(r));
   }
   return future;
 }
@@ -203,8 +203,8 @@ void InferenceServer::serve_batch(std::vector<InferRequest> batch) {
     InferResult r;
     r.tier = batch[i].tier;
     r.total_ms = ms_between(batch[i].enqueued, ServeClock::now());
-    batch[i].done.set_value(std::move(r));
     stats_.record_failed();
+    batch[i].done.set_value(std::move(r));
   }
   if (good.empty()) return;
 
@@ -222,6 +222,9 @@ void InferenceServer::serve_batch(std::vector<InferRequest> batch) {
   const auto finished = ServeClock::now();
   const int64_t classes = logits.dim(1);
 
+  // Counters are updated before each response is published, so a caller
+  // that has its result also sees it counted.
+  tier.served.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
   double sum_ms = 0.0;
   for (int64_t i = 0; i < n; ++i) {
     auto& req = batch[good[static_cast<size_t>(i)]];
@@ -241,7 +244,6 @@ void InferenceServer::serve_batch(std::vector<InferRequest> batch) {
     req.done.set_value(std::move(r));
   }
   stats_.record_batch(n);
-  tier.served.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
 
   // Served-latency EWMA feeds route_by_budget. Benignly racy between
   // workers (both observed real latencies; last store wins).

@@ -33,6 +33,8 @@ enum class Mode : int { kReference = 0, kFast = 1 };
 
 /// Parse "reference"/"fast" (anything else falls back to `fallback`).
 Mode mode_from_name(const char* name, Mode fallback = Mode::kFast);
+/// The names parse_mode accepts.
+inline constexpr const char* kModeNames = "reference|fast";
 /// Parse "reference"/"fast"; anything else throws std::invalid_argument.
 /// The single validation point for user-supplied mode strings (RunSpec
 /// knob, run_all batch pins).

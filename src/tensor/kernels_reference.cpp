@@ -29,7 +29,8 @@ Mode parse_mode(const char* name) {
     if (std::strcmp(name, "fast") == 0) return Mode::kFast;
   }
   throw std::invalid_argument("unknown kernels mode: " +
-                              std::string(name != nullptr ? name : "(null)"));
+                              std::string(name != nullptr ? name : "(null)") + " (expected " +
+                              kModeNames + ")");
 }
 
 Mode detail::mode_from_env() {

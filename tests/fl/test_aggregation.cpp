@@ -14,6 +14,7 @@
 #include "fl/sharded_accumulator.h"
 #include "fl/trainer.h"
 #include "nn/models.h"
+#include "state_accumulator.h"
 #include "tensor/parallel.h"
 #include "tensor/rng.h"
 
@@ -299,16 +300,12 @@ TEST(Adversary, MembershipIsDeterministicPerSeed) {
 
 TEST(Adversary, NameParsingRoundTrips) {
   for (const char* name : {"none", "label_flip", "scale", "sign_flip", "free_ride", "corrupt"}) {
-    EXPECT_TRUE(adversary_mode_name_valid(name));
     EXPECT_STREQ(adversary_mode_name(adversary_mode_from_name(name)), name);
   }
-  EXPECT_FALSE(adversary_mode_name_valid("scael"));
   EXPECT_THROW((void)adversary_mode_from_name("scael"), std::invalid_argument);
   for (const char* name : {"fedavg", "norm_clip", "trimmed_mean", "coord_median"}) {
-    EXPECT_TRUE(aggregation_name_valid(name));
     EXPECT_STREQ(aggregation_name(aggregation_config_from_name(name).policy), name);
   }
-  EXPECT_FALSE(aggregation_name_valid("median"));
   EXPECT_THROW((void)aggregation_config_from_name("median"), std::invalid_argument);
 }
 

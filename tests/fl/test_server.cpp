@@ -4,6 +4,8 @@
 
 #include <stdexcept>
 
+#include "state_accumulator.h"
+
 namespace fedtiny::fl {
 namespace {
 

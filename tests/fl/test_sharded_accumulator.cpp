@@ -12,7 +12,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "fl/server.h"
+#include "state_accumulator.h"
 #include "tensor/rng.h"
 
 namespace fedtiny::fl {

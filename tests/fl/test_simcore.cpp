@@ -18,6 +18,7 @@
 #include "fl/trainer.h"
 #include "nn/models.h"
 #include "prune/magnitude.h"
+#include "state_accumulator.h"
 
 namespace fedtiny::fl {
 namespace {
