@@ -9,8 +9,9 @@
 //   linear: dW  = masked_grad_tn,  dX    = spmm_dn
 //
 // Plus the conv-pipeline data movers (im2col/col2im, where fast must match
-// reference bitwise) and an end-to-end Conv2d forward+backward at the same
-// geometry as bench_sparse_backward (dense and 10% masked training).
+// reference bitwise), an end-to-end Conv2d forward+backward at the same
+// geometry as bench_sparse_backward (dense and 10% masked training), and
+// FedTiny's own tiny-plane conv shapes at 1% masked-dense, batch 32.
 //
 // Correctness: in reference mode CSR output must equal the dense output
 // bitwise (the engine's oracle contract); fast mode is held to a relative
@@ -372,6 +373,92 @@ int main(int argc, char** argv) {
         json.record("conv_backward", conv_e2e_shape, density, mode_str(mode), bwd_ms, 0.0);
       }
     }
+  }
+
+  // ---- FedTiny's tiny planes: 1% masked-dense conv at batch 32 -------------
+  // The paper workload's own conv geometry (tiny scale: ResNet18 at width 8
+  // on 8x8 inputs, planes 8x8 down to 1x1), with the pruned weights masked
+  // in place and no CSR installed — the dense batched fast pipeline FedTiny
+  // trains with. Per distinct shape: the whole-batch movers (bitwise against
+  // reference) and Conv2d forward/backward; the model_pass rows sum each
+  // shape times its count among the network's 20 convs.
+  {
+    struct TinyConv {
+      int64_t in_c, out_c, kernel, stride, size, count;
+      double density;  // the stem is never pruned
+    };
+    const TinyConv convs[] = {
+        {3, 8, 3, 1, 8, 1, 1.0},     {8, 8, 3, 1, 8, 4, 0.01},   {8, 16, 3, 2, 8, 1, 0.01},
+        {8, 16, 1, 2, 8, 1, 0.01},   {16, 16, 3, 1, 4, 3, 0.01}, {16, 32, 3, 2, 4, 1, 0.01},
+        {16, 32, 1, 2, 4, 1, 0.01},  {32, 32, 3, 1, 2, 3, 0.01}, {32, 64, 3, 2, 2, 1, 0.01},
+        {32, 64, 1, 2, 2, 1, 0.01},  {64, 64, 3, 1, 1, 3, 0.01},
+    };
+    const int64_t batch = 32;
+    const int tiny_reps = smoke ? 3 : 10 * reps;
+    kernels::ScopedMode scoped(kernels::Mode::kFast);
+    std::printf("\n%-22s %8s | %10s %10s %10s %10s  (fast, batch %ld)\n", "tiny plane conv",
+                "density", "im2col_ms", "col2im_ms", "fwd_ms", "bwd_ms", static_cast<long>(batch));
+    double pass[4] = {0.0, 0.0, 0.0, 0.0};
+    for (const TinyConv& tc : convs) {
+      const int64_t pad = tc.kernel / 2;
+      const int64_t out = (tc.size + 2 * pad - tc.kernel) / tc.stride + 1;
+      const int64_t fan = tc.in_c * tc.kernel * tc.kernel, bcols = batch * out * out;
+      char shape[64];
+      std::snprintf(shape, sizeof(shape), "tiny:%ldx%ldx%ldx%ld@%lds%ldb%ld",
+                    static_cast<long>(tc.out_c), static_cast<long>(tc.in_c),
+                    static_cast<long>(tc.kernel), static_cast<long>(tc.kernel),
+                    static_cast<long>(tc.size), static_cast<long>(tc.stride),
+                    static_cast<long>(batch));
+
+      std::vector<float> x(static_cast<size_t>(batch * tc.in_c * tc.size * tc.size));
+      fill_random(x, rng);
+      std::vector<float> cols_f(static_cast<size_t>(fan * bcols)), cols_r(cols_f.size());
+      std::vector<float> gin_f(x.size()), gin_r(x.size());
+      const double im_ms = time_ms(tiny_reps, [&] {
+        kernels::im2col_batched_fast(x.data(), batch, tc.in_c, tc.size, tc.size, tc.kernel,
+                                     tc.kernel, tc.stride, pad, cols_f.data());
+      });
+      const double c2_ms = time_ms(tiny_reps, [&] {
+        std::memset(gin_f.data(), 0, gin_f.size() * sizeof(float));
+        kernels::col2im_batched_fast(cols_f.data(), batch, tc.in_c, tc.size, tc.size, tc.kernel,
+                                     tc.kernel, tc.stride, pad, gin_f.data());
+      });
+      kernels::im2col_batched_reference(x.data(), batch, tc.in_c, tc.size, tc.size, tc.kernel,
+                                        tc.kernel, tc.stride, pad, cols_r.data());
+      kernels::col2im_batched_reference(cols_r.data(), batch, tc.in_c, tc.size, tc.size,
+                                        tc.kernel, tc.kernel, tc.stride, pad, gin_r.data());
+      if (!bitwise_equal(cols_f, cols_r) || !bitwise_equal(gin_f, gin_r)) {
+        std::printf("FAIL: fast batched movers do not match reference bitwise at %s\n", shape);
+        return 1;
+      }
+
+      Rng seed(5);
+      nn::Conv2d conv(tc.in_c, tc.out_c, tc.kernel, tc.stride, pad, /*bias=*/false, seed);
+      const auto mask = random_mask(conv.weight().value.numel(), tc.density, rng);
+      for (int64_t i = 0; i < conv.weight().value.numel(); ++i) {
+        if (mask[static_cast<size_t>(i)] == 0) conv.weight().value[i] = 0.0f;
+      }
+      Tensor xt({batch, tc.in_c, tc.size, tc.size}), dy({batch, tc.out_c, out, out});
+      std::memcpy(xt.data(), x.data(), x.size() * sizeof(float));
+      for (auto& v : dy.flat()) v = rng.normal();
+      const double fwd_ms = time_ms(tiny_reps, [&] { conv.forward(xt, nn::Mode::kTrain); });
+      const double bwd_ms = time_ms(tiny_reps, [&] { conv.backward(dy); });
+
+      std::printf("%-22s %7.0f%% | %10.4f %10.4f %10.4f %10.4f  x%ld\n", shape + 5,
+                  tc.density * 100.0, im_ms, c2_ms, fwd_ms, bwd_ms, static_cast<long>(tc.count));
+      json.record("im2col_batched", shape, 1.0, "fast", im_ms, 0.0);
+      json.record("col2im_batched", shape, 1.0, "fast", c2_ms, 0.0);
+      json.record("conv_forward", shape, tc.density, "fast", fwd_ms, 0.0);
+      json.record("conv_backward", shape, tc.density, "fast", bwd_ms, 0.0);
+      const double times[4] = {im_ms, c2_ms, fwd_ms, bwd_ms};
+      for (int t = 0; t < 4; ++t) pass[t] += static_cast<double>(tc.count) * times[t];
+    }
+    std::printf("%-22s %8s | %10.4f %10.4f %10.4f %10.4f\n", "model pass (20 convs)", "", pass[0],
+                pass[1], pass[2], pass[3]);
+    json.record("im2col_batched", "tiny:model_pass@b32", 1.0, "fast", pass[0], 0.0);
+    json.record("col2im_batched", "tiny:model_pass@b32", 1.0, "fast", pass[1], 0.0);
+    json.record("conv_forward", "tiny:model_pass@b32", 0.01, "fast", pass[2], 0.0);
+    json.record("conv_backward", "tiny:model_pass@b32", 0.01, "fast", pass[3], 0.0);
   }
 
   if (!smoke && !low_density_wins) {

@@ -42,6 +42,10 @@ when both files name a host and they differ, the script prints a prominent
 cross-host warning: absolute-time comparisons across hardware are advisory,
 and --fail-threshold refuses to gate on them.
 
+The summary line reports how many records matched ("matched N of M"). A
+comparison that matched nothing compares nothing, so N = 0 prints a loud
+warning, and under --fail-threshold it exits 1 (as does unreadable input).
+
 --fail-threshold PCT turns the comparison into a gate: exit non-zero when
 any matched record regressed by more than PCT percent (e.g.
 ``--fail-threshold 25`` fails on >1.25x ns_op). Intended for same-host
@@ -88,7 +92,7 @@ def main():
         new = load(args.new)
     except (OSError, ValueError, KeyError) as err:
         print(f"WARN input unreadable ({err}); nothing to compare")
-        return 0
+        return 1 if args.fail_threshold is not None else 0
 
     def stamps(records, field):
         return {rec.get(field) for rec in records.values() if rec.get(field)}
@@ -110,11 +114,12 @@ def main():
         else:
             fail_factor = 1.0 + args.fail_threshold / 100.0
 
-    regressions = improvements = failures = mem_regressions = 0
+    regressions = improvements = failures = mem_regressions = matched = 0
     for key, rec in sorted(new.items()):
         old = base.get(key)
         if old is None or old["ns_op"] <= 0:
             continue
+        matched += 1
         ratio = rec["ns_op"] / old["ns_op"]
         label = "/".join(str(k) for k in key)
         if fail_factor is not None and ratio > fail_factor:
@@ -176,11 +181,19 @@ def main():
                       f"{ov:.3f} -> {nv:.3f} ms")
                 mem_regressions += 1
     missing = len(base.keys() - new.keys())
-    print(f"compared {len(new)} records: {failures} failure(s), "
+    print(f"matched {matched} of {len(new)} record(s): {failures} failure(s), "
           f"{regressions} regression warning(s), "
           f"{mem_regressions} memory warning(s), "
           f"{improvements} improvement(s), "
           f"{missing} baseline record(s) unmatched")
+    if matched == 0:
+        print("WARN " + "!" * 60)
+        print(f"WARN nothing compared: none of the {len(new)} new record(s) matches a "
+              f"baseline record on (bench, kernel, shape, density, mode, threads)")
+        print("WARN " + "!" * 60)
+        if args.fail_threshold is not None:
+            print("FAIL: --fail-threshold cannot gate a comparison that matched nothing")
+            return 1
     if failures:
         print(f"FAIL: {failures} record(s) regressed beyond "
               f"{args.fail_threshold:.0f}% (--fail-threshold)")

@@ -57,7 +57,7 @@ const Knob kKnobs[] = {
      "CSR forward below this density at eval (0 = dense)", kProbability},
     {KNOB_FIELD(sparse_training), "FEDTINY_SPARSE_TRAINING", "--sparse-train",
      "masked sparse local SGD (needs --sparse-exec > 0)"},
-    {KNOB_FIELD(kernels), "FEDTINY_KERNELS", "--kernels",
+    {KNOB_FIELD(kernels), kernels::kModeEnv, "--kernels",
      "kernel engine (\"\" = the process mode)",
      {nullptr, [](const std::string& s) { (void)kernels::parse_mode(s.c_str()); },
       kernels::kModeNames}},

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -18,7 +19,10 @@ RunSpec with_env_knobs(RunSpec spec) {
     try {
       knob.set(spec, text);
     } catch (const std::invalid_argument& e) {
-      warn_ambient(knob.env, text, e.what());
+      // The kernel engine diagnoses its own variable when it seeds the
+      // process mode (kernels::detail::mode_from_env); a second warning
+      // here would report one typo twice.
+      if (std::strcmp(knob.env, kernels::kModeEnv) != 0) warn_ambient(knob.env, text, e.what());
     }
   }
   return spec;

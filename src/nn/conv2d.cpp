@@ -161,6 +161,7 @@ Tensor Conv2d::forward(const Tensor& x, Mode mode) {
     // Not `= {}`: the initializer_list overload keeps the allocation.
     relu_mask_ = std::vector<uint8_t>();
     maskbuf_ = std::vector<uint8_t>();
+    dead_rows_ = std::vector<uint8_t>();
   }
   return y;
 }
@@ -204,11 +205,17 @@ Tensor Conv2d::backward_impl(const Tensor& grad_output) {
     ops::gemm(false, true, out_channels_, col_rows, bcols, 1.0f, dybuf_.data(), cols_.data(), 1.0f,
               weight_.grad.data());
     // dcols = W^T * dY for the whole batch, then the threaded whole-batch
-    // col2im out of the strided buffer.
+    // col2im out of the strided buffer. A dcols row whose W column is all
+    // zero (a pruned input tap) is exactly +0: the GEMM leaves it unwritten
+    // and flags it, and col2im skips it — grad_input starts at +0 and never
+    // holds -0, so the +0 it would have added changes no bit.
+    dead_rows_.assign(static_cast<size_t>(col_rows), 0);
+    kernels::GemmEpilogue dead;
+    dead.dead_rows = dead_rows_.data();
     ops::gemm(true, false, col_rows, bcols, out_channels_, 1.0f, weight_.value.data(),
-              dybuf_.data(), 0.0f, dcols_.data());
+              dybuf_.data(), 0.0f, dcols_.data(), dead);
     ops::col2im_batched(dcols_.data(), n, in_channels_, last_in_h_, last_in_w_, kernel_, kernel_,
-                        stride_, pad_, grad_input.data());
+                        stride_, pad_, grad_input.data(), dead_rows_.data());
     if (has_bias_) {
       // Parallel over output channels: each bias_.grad[c] still accumulates
       // its per-sample sums in ascending i order (the exact serial order),

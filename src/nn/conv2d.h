@@ -86,7 +86,8 @@ class Conv2d final : public Layer {
   [[nodiscard]] int64_t workspace_bytes() const {
     return static_cast<int64_t>(cols_.numel() + dcols_.numel() + ybuf_.numel() + dybuf_.numel()) *
                static_cast<int64_t>(sizeof(float)) +
-           static_cast<int64_t>(relu_mask_.capacity() + maskbuf_.capacity());
+           static_cast<int64_t>(relu_mask_.capacity() + maskbuf_.capacity() +
+                                dead_rows_.capacity());
   }
 
  private:
@@ -120,6 +121,9 @@ class Conv2d final : public Layer {
   bool fused_relu_ = false;
   std::vector<uint8_t> relu_mask_;
   std::vector<uint8_t> maskbuf_;
+  // Batched backward: dcols_ rows the fast GEMM left unwritten because their
+  // W column is all zero (kernels::GemmEpilogue::dead_rows). Per-step too.
+  std::vector<uint8_t> dead_rows_;
 
   /// The pre-fusion backward body: conv gradients from an (already masked,
   /// when fused) upstream gradient.

@@ -35,6 +35,8 @@ enum class Mode : int { kReference = 0, kFast = 1 };
 Mode mode_from_name(const char* name, Mode fallback = Mode::kFast);
 /// The names parse_mode accepts.
 inline constexpr const char* kModeNames = "reference|fast";
+/// The environment variable that seeds the process mode.
+inline constexpr const char* kModeEnv = "FEDTINY_KERNELS";
 /// Parse "reference"/"fast"; anything else throws std::invalid_argument.
 /// The single validation point for user-supplied mode strings (RunSpec
 /// knob, run_all batch pins).
@@ -44,6 +46,8 @@ const char* mode_name(Mode mode);
 namespace detail {
 /// FEDTINY_KERNELS seed: unset -> fast; unrecognized values warn on stderr
 /// and fall back to fast (a typo must not silently pose as a mode choice).
+/// This is the only diagnostic for the variable: the RunSpec knob table,
+/// which reads it too, leaves a malformed value to the engine.
 Mode mode_from_env();
 
 inline std::atomic<int>& mode_slot() {
@@ -96,6 +100,13 @@ struct GemmEpilogue {
   /// the backward mask for free instead of re-running a separate ReLU pass.
   /// Ignored unless relu is true.
   uint8_t* relu_mask = nullptr;
+  /// Optional dead-row flags, length m, zeroed by the caller. On beta == 0
+  /// calls without bias or ReLU, the fast engine may leave a C row whose
+  /// op(A) row is all zero unwritten (it would hold alpha * +0) and set its
+  /// flag to 1; every row it writes keeps flag 0, and reference mode writes
+  /// every row. Not part of active(): it changes which rows are stored, not
+  /// how.
+  uint8_t* dead_rows = nullptr;
   [[nodiscard]] bool active() const {
     return row_bias != nullptr || col_bias != nullptr || relu;
   }
@@ -152,11 +163,13 @@ void col2im_fast(const float* cols, int64_t channels, int64_t height, int64_t wi
 // `batch` contiguous [channels, height, width] samples; the column buffer is
 // one [channels*kernel_h*kernel_w, batch*out_h*out_w] workspace with sample
 // i's block starting at column i*out_h*out_w. Reference loops the per-sample
-// reference movers serially; fast spreads (sample x row) / (sample x channel)
-// items over kernel-pool lanes. Both orderings write every output element
-// exactly once from the same inputs (col2im accumulates only within one
-// (sample, channel) item), so fast is bitwise-equal to reference at any lane
-// count — same contract as the per-sample movers above.
+// reference movers serially; fast spreads (row x sample) / (channel x
+// sample) items over kernel-pool lanes, a band's run of samples sharing one
+// tap's bounds. Both orderings write every output element exactly once from
+// the same inputs (col2im accumulates only within one (channel, sample)
+// item, in the reference's (kh, kw, oh) order), so fast is bitwise-equal to
+// reference at any lane count — same contract as the per-sample movers
+// above, which run the same bodies with batch 1.
 
 void im2col_batched_reference(const float* in, int64_t batch, int64_t channels, int64_t height,
                               int64_t width, int64_t kernel_h, int64_t kernel_w, int64_t stride,
@@ -168,9 +181,14 @@ void im2col_batched_fast(const float* in, int64_t batch, int64_t channels, int64
 void col2im_batched_reference(const float* cols, int64_t batch, int64_t channels, int64_t height,
                               int64_t width, int64_t kernel_h, int64_t kernel_w, int64_t stride,
                               int64_t pad, float* out);
+/// `dead_rows` (length channels*kernel_h*kernel_w, nullptr: none) flags
+/// column rows to skip: rows a fast GEMM left unwritten because they are
+/// exactly zero (GemmEpilogue::dead_rows). Skipping them keeps every bit:
+/// `out` starts at +0, so it never holds -0, and x + (+0) == x for every
+/// other x.
 void col2im_batched_fast(const float* cols, int64_t batch, int64_t channels, int64_t height,
                          int64_t width, int64_t kernel_h, int64_t kernel_w, int64_t stride,
-                         int64_t pad, float* out);
+                         int64_t pad, float* out, const uint8_t* dead_rows = nullptr);
 
 // ---- Batched layout permutes -----------------------------------------------
 // Transpose between the batched GEMM staging layout [rows, batch*cols]

@@ -38,7 +38,9 @@
 // target_clones (GCC and recent Clang); elsewhere compile the portable
 // baseline only.
 #if defined(__x86_64__) && defined(__ELF__) && defined(__has_attribute)
-#if __has_attribute(target_clones)
+// ThreadSanitizer builds go without the clones: their ifunc resolvers run
+// before the TSan runtime is up and crash the binary at load.
+#if __has_attribute(target_clones) && !defined(__SANITIZE_THREAD__)
 #define FEDTINY_KERNEL_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
 #endif
 // Single-target variant for the non-temporal streaming copy: it needs real
@@ -51,6 +53,21 @@
 #endif
 #ifndef FEDTINY_KERNEL_CLONES
 #define FEDTINY_KERNEL_CLONES
+#endif
+// FEDTINY_NO_CONTRACT: separate multiply and add roundings (no FMA
+// contraction) whatever the clone's ISA. GCC contracts across statements
+// under its default -ffp-contract=fast, so a loop's bits would otherwise
+// hang on how each clone happens to vectorize it; Clang contracts only
+// within one expression by default, which the source already fixes.
+// FEDTINY_INLINE_LOOPS: keep short fill loops as loops. GCC otherwise turns
+// them into memset calls, which cost more than the 1-8 floats of a row on
+// FedTiny's tiny planes.
+#if defined(__GNUC__) && !defined(__clang__)
+#define FEDTINY_NO_CONTRACT __attribute__((optimize("fp-contract=off")))
+#define FEDTINY_INLINE_LOOPS __attribute__((optimize("no-tree-loop-distribute-patterns")))
+#else
+#define FEDTINY_NO_CONTRACT
+#define FEDTINY_INLINE_LOOPS
 #endif
 
 namespace fedtiny::kernels {
@@ -252,32 +269,102 @@ inline float* tail_arena(int64_t k) {
   return buf.data();
 }
 
-/// Zero-skip accumulation for one C row of a zero-heavy band. Strip-major
-/// with the same constant-width body and store as the dense tile: skipped
-/// terms contribute exactly +0 (accumulators start at +0 and can never
-/// reach -0, so x + (+/-0) == x bitwise), and eligibility depends only on
-/// A's zeros and k, so neither the skip nor its bits can vary with n.
+/// One band's op(A) rows with their zeros squeezed out: row r's nonzeros
+/// sit at [r*k, r*k + count[r]) of idx/val, in ascending p.
+struct BandNonzeros {
+  std::vector<int32_t> idx;
+  std::vector<float> val;
+  int64_t count[kMr] = {};
+};
+
+inline BandNonzeros& band_arena(int64_t k) {
+  thread_local BandNonzeros z;
+  if (static_cast<int64_t>(z.idx.size()) < kMr * k) {
+    z.idx.resize(static_cast<size_t>(kMr * k));
+    z.val.resize(static_cast<size_t>(kMr * k));
+  }
+  return z;
+}
+
+/// Whether the band of op(A) rows (element p of row r at
+/// a0[r * rstride + p * astride]) takes the zero-skip: more than 75% of its
+/// mr*k entries are zero (the dense tile is ~4x faster on dense data). The
+/// rule reads nothing but A's zeros and k, never the panel width, so whether
+/// a band skips cannot vary with n, lanes or runs.
 FEDTINY_KERNEL_CLONES
-void skip_band_row(const float* a0, int64_t astride, int64_t k, const float* b, int64_t n,
-                   int64_t i, float alpha, float beta, float* c, const GemmEpilogue& epi,
-                   int64_t jb, int64_t je) {
+bool band_is_sparse(const float* a0, int64_t rstride, int64_t astride, int64_t k, int64_t mr) {
+  int64_t nonzeros = 0;
+  for (int64_t r = 0; r < mr; ++r) {
+    const float* row = a0 + r * rstride;
+    if (astride == 1) {  // contiguous rows: lets the count vectorize
+      for (int64_t p = 0; p < k; ++p) nonzeros += row[p] != 0.0f ? 1 : 0;
+    } else {
+      for (int64_t p = 0; p < k; ++p) nonzeros += row[p * astride] != 0.0f ? 1 : 0;
+    }
+  }
+  return 4 * nonzeros < mr * k;
+}
+
+/// Collect the nonzeros of a skip band's rows into `z`, in ascending p (NaN
+/// counts as nonzero and -0 as zero, as the skip treats them). Whole zero
+/// chunks, the common case at low density, cost one test; the branch-free
+/// append runs only on chunks that hold a nonzero.
+FEDTINY_KERNEL_CLONES
+void compact_band(const float* a0, int64_t rstride, int64_t astride, int64_t k, int64_t mr,
+                  BandNonzeros& z) {
+  for (int64_t r = 0; r < mr; ++r) {
+    const float* row = a0 + r * rstride;
+    int32_t* ix = z.idx.data() + r * k;
+    float* vx = z.val.data() + r * k;
+    int64_t cnt = 0;
+    for (int64_t p0 = 0; p0 < k; p0 += kNr) {
+      const int64_t w = std::min<int64_t>(kNr, k - p0);
+      bool any = false;
+      for (int64_t u = 0; u < w; ++u) any |= row[(p0 + u) * astride] != 0.0f;
+      if (!any) continue;
+      for (int64_t u = 0; u < w; ++u) {
+        const float v = row[(p0 + u) * astride];
+        ix[cnt] = static_cast<int32_t>(p0 + u);
+        vx[cnt] = v;
+        cnt += v != 0.0f ? 1 : 0;
+      }
+    }
+    z.count[r] = cnt;
+  }
+}
+
+/// One strip of a skip row: acc = sum over the row's compacted nonzeros
+/// (idx/val, nz entries, ascending p) of val * B row, at the dense tile's
+/// constant width. Skipped terms contribute exactly +0 (accumulators start
+/// at +0 and can never reach -0, so x + (+/-0) == x bitwise). The sum keeps
+/// separate multiply and add roundings (FEDTINY_NO_CONTRACT), exactly the
+/// loop that rescanned all of A's row for every strip. Kept apart from the
+/// store: a caller with the optimize attribute would stop GCC from inlining
+/// store_row into the register tiles.
+FEDTINY_KERNEL_CLONES FEDTINY_NO_CONTRACT
+void skip_strip(const int32_t* idx, const float* val, int64_t nz, const float* bs,
+                int64_t bstride, float* out) {
+  float acc[kNr] = {};
+  for (int64_t t = 0; t < nz; ++t) {
+    const float av = val[t];
+    const float* brow = bs + static_cast<int64_t>(idx[t]) * bstride;
+    for (int64_t jj = 0; jj < kNr; ++jj) acc[jj] += av * brow[jj];
+  }
+  for (int64_t jj = 0; jj < kNr; ++jj) out[jj] = acc[jj];
+}
+
+/// Zero-skip for one C row of a zero-heavy band, strip by strip with the
+/// dense tile's store. The strip grid sits on absolute kNr multiples, so
+/// neither the skip nor its bits can vary with n; `tail` is the band's
+/// zero-padded stage of a final partial strip.
+FEDTINY_KERNEL_CLONES
+void skip_band_row(const int32_t* idx, const float* val, int64_t nz, const float* b, int64_t n,
+                   const float* tail, int64_t i, float alpha, float beta, float* c,
+                   const GemmEpilogue& epi, int64_t jb, int64_t je) {
   for (int64_t j0 = jb; j0 < je; j0 += kNr) {
     const int64_t nr = std::min<int64_t>(kNr, je - j0);
-    const float* bs = b + j0;
-    int64_t bstride = n;
-    if (nr < kNr) {
-      float* stage = tail_arena(k);
-      gemm_pack_bn_strip(b, n, k, j0, nr, stage);
-      bs = stage;
-      bstride = kNr;
-    }
-    float acc[kNr] = {};
-    for (int64_t p = 0; p < k; ++p) {
-      const float av = a0[p * astride];
-      if (av == 0.0f) continue;
-      const float* brow = bs + p * bstride;
-      for (int64_t jj = 0; jj < kNr; ++jj) acc[jj] += av * brow[jj];
-    }
+    float acc[kNr];
+    skip_strip(idx, val, nz, nr < kNr ? tail : b + j0, nr < kNr ? kNr : n, acc);
     if (!epi.active()) {
       store_row(c + i * n + j0, acc, nr, alpha, beta);
     } else {
@@ -376,28 +463,37 @@ void gemm_bn_band(bool trans_a, int64_t i0, int64_t m, int64_t n, int64_t k, flo
   const int64_t mr = std::min<int64_t>(kMr, m - i0);
   const int64_t astride = trans_a ? m : 1;
   // Zero-heavy bands (masked dense weights with no CSR installed) take the
-  // reference-style skip loop instead of the full-work tile: the tile is
-  // ~4x faster on dense data, so the crossover sits around 25% density.
-  // The O(mr*k) scan is 1/n of the band's work, and the choice depends only
-  // on A's data and k — never on the panel width — so results stay
-  // deterministic across runs, threads, and batch sizes. The skip loop
-  // walks unpacked B rows, so it needs b != nullptr (the NT form has no row
-  // layout to walk — same as the pre-pack NT path, which never had a skip).
-  if (b != nullptr && k >= 8) {
-    int64_t zeros = 0;
+  // zero-skip over their compacted nonzeros instead of the full-work tile
+  // (see band_is_sparse for the rule). The skip walks unpacked B rows, so
+  // it needs b != nullptr (the NT form has no row layout to walk).
+  const float* a0 = trans_a ? a + i0 : a + i0 * k;
+  const int64_t rstride = trans_a ? 1 : k;
+  const bool skip = b != nullptr && k >= 8 && band_is_sparse(a0, rstride, astride, k, mr);
+  // A final partial strip read from unpacked B is staged once per band.
+  const float* tail = nullptr;
+  if ((je - jb) % kNr != 0 && (skip || pack == nullptr)) {
+    const int64_t j0 = je - (je - jb) % kNr;
+    float* stage = tail_arena(k);
+    gemm_pack_bn_strip(b, n, k, j0, je - j0, stage);
+    tail = stage;
+  }
+  if (skip) {
+    // Only skip bands touch the compaction arena: a thread that never sees
+    // one allocates nothing.
+    BandNonzeros& z = band_arena(k);
+    compact_band(a0, rstride, astride, k, mr, z);
+    // Rows with no nonzero hold exactly alpha * (+0): callers that asked
+    // for dead-row flags get the flag instead of the row.
+    const bool may_leave_dead = epi.dead_rows != nullptr && beta == 0.0f && !epi.active();
     for (int64_t r = 0; r < mr; ++r) {
-      for (int64_t p = 0; p < k; ++p) {
-        zeros += (trans_a ? a[p * m + i0 + r] : a[(i0 + r) * k + p]) == 0.0f ? 1 : 0;
+      if (z.count[r] == 0 && may_leave_dead) {
+        epi.dead_rows[i0 + r] = 1;
+        continue;
       }
+      skip_band_row(z.idx.data() + r * k, z.val.data() + r * k, z.count[r], b, n, tail, i0 + r,
+                    alpha, beta, c, epi, jb, je);
     }
-    if (zeros * 4 > mr * k * 3) {  // > 75% zeros
-      for (int64_t r = 0; r < mr; ++r) {
-        const int64_t i = i0 + r;
-        skip_band_row(trans_a ? a + i : a + i * k, astride, k, b, n, i, alpha, beta, c, epi, jb,
-                      je);
-      }
-      return;
-    }
+    return;
   }
   // Tile loop: every strip — packed panel strip, full-width unpacked strip,
   // or zero-padded staged tail — runs the same constant-width tile kernel
@@ -407,20 +503,8 @@ void gemm_bn_band(bool trans_a, int64_t i0, int64_t m, int64_t n, int64_t k, flo
   // how wide the operand is or how it was packed.
   for (int64_t s = 0, j0 = jb; j0 < je; ++s, j0 += kNr) {
     const int64_t nr = std::min<int64_t>(kNr, je - j0);
-    const float* bs;
-    int64_t bstride;
-    if (pack != nullptr) {
-      bs = pack + s * k * kNr;
-      bstride = kNr;
-    } else if (nr == kNr) {
-      bs = b + j0;
-      bstride = n;
-    } else {
-      float* stage = tail_arena(k);
-      gemm_pack_bn_strip(b, n, k, j0, nr, stage);
-      bs = stage;
-      bstride = kNr;
-    }
+    const float* bs = pack != nullptr ? pack + s * k * kNr : nr == kNr ? b + j0 : tail;
+    const int64_t bstride = pack != nullptr || nr < kNr ? kNr : n;
     if (mr == kMr) {
       tile_strip_rows4(trans_a ? a + (i0 + 0) : a + (i0 + 0) * k,
                        trans_a ? a + (i0 + 1) : a + (i0 + 1) * k,
@@ -894,9 +978,11 @@ void masked_grad_tn_row(const sparse::CsrMatrix& s, const float* a, const float*
 // Interior/halo split: for one (kw, stride, pad) tap, the output columns that
 // map inside the image are the contiguous range [lo, hi) below; everything
 // outside is padding. The reference loop pays a bounds branch per element —
-// these helpers zero-fill (im2col) or skip (col2im) the halo once and run the
-// pad-free interior as a straight memcpy / vector add (stride 1) or a
-// branch-free strided loop.
+// these helpers zero-fill (im2col) or skip (col2im) the halo and run the
+// pad-free interior as a branch-free loop. A tap's bounds are computed once
+// per (c, kh, kw) for a band's whole run of samples, and rows are copied
+// with inline loops: on FedTiny's 1x1..8x8 planes a row is 1-8 floats, less
+// than a memset/memcpy call costs.
 
 /// In-bounds output-column range for a tap: ow in [lo, hi) iff
 /// 0 <= ow*stride - pad + kw < width.
@@ -905,7 +991,7 @@ inline void tap_bounds(int64_t out_w, int64_t width, int64_t kw, int64_t stride,
   const int64_t d = pad - kw;
   int64_t l = d <= 0 ? 0 : (d + stride - 1) / stride;
   // Clamp to the row: kernels wider than width+pad give taps whose first
-  // in-bounds column lies past out_w, and the halo memset below sizes off lo.
+  // in-bounds column lies past out_w, and the halo fill below sizes off lo.
   if (l > out_w) l = out_w;
   *lo = l;
   const int64_t limit = width - 1 + pad - kw;  // largest in-bounds iw numerator
@@ -915,50 +1001,93 @@ inline void tap_bounds(int64_t out_w, int64_t width, int64_t kw, int64_t stride,
   *hi = h;
 }
 
-FEDTINY_KERNEL_CLONES
-void im2col_row(const float* in_c, int64_t height, int64_t width, int64_t kh, int64_t kw,
-                int64_t stride, int64_t pad, int64_t out_h, int64_t out_w, float* out_row) {
-  int64_t lo = 0, hi = 0;
-  tap_bounds(out_w, width, kw, stride, pad, &lo, &hi);
-  for (int64_t oh = 0; oh < out_h; ++oh) {
-    float* orow = out_row + oh * out_w;
-    const int64_t ih = oh * stride - pad + kh;
-    if (ih < 0 || ih >= height) {
-      std::memset(orow, 0, static_cast<size_t>(out_w) * sizeof(float));
-      continue;
+/// im2col of items [t0, t1) of the (column row x sample) grid, row-major:
+/// row (c, kh, kw) of sample i lands at cols + row*ld + i*out_h*out_w. One
+/// call per band, divisions once per band and bounds once per row: a row of
+/// a 1x1 plane is a single float, so per-row overhead is the whole cost.
+FEDTINY_KERNEL_CLONES FEDTINY_INLINE_LOOPS
+void im2col_items(const float* in, int64_t batch, int64_t channels, int64_t height, int64_t width,
+                  int64_t kernel_h, int64_t kernel_w, int64_t stride, int64_t pad, float* cols,
+                  int64_t ld, int64_t t0, int64_t t1) {
+  const int64_t out_h = (height + 2 * pad - kernel_h) / stride + 1;
+  const int64_t out_w = (width + 2 * pad - kernel_w) / stride + 1;
+  const int64_t taps = kernel_h * kernel_w, plane = height * width;
+  int64_t row = t0 / batch, i = t0 % batch;
+  int64_t c = row / taps, kh = row % taps / kernel_w, kw = row % taps % kernel_w;
+  for (int64_t t = t0; t < t1; i = 0, ++row) {
+    const int64_t end = std::min(batch, i + t1 - t);
+    int64_t lo = 0, hi = 0;
+    tap_bounds(out_w, width, kw, stride, pad, &lo, &hi);
+    const int64_t shift = kw - pad;  // iw = ow * stride + shift
+    for (int64_t s = i; s < end; ++s) {
+      const float* src = in + (s * channels + c) * plane;
+      float* orow = cols + row * ld + s * out_h * out_w;
+      for (int64_t oh = 0; oh < out_h; ++oh, orow += out_w) {
+        const int64_t ih = oh * stride - pad + kh;
+        if (ih < 0 || ih >= height) {
+          for (int64_t ow = 0; ow < out_w; ++ow) orow[ow] = 0.0f;
+          continue;
+        }
+        const float* in_row = src + ih * width;
+        for (int64_t ow = 0; ow < lo; ++ow) orow[ow] = 0.0f;
+        if (stride == 1) {
+          for (int64_t ow = lo; ow < hi; ++ow) orow[ow] = in_row[ow + shift];
+        } else {
+          for (int64_t ow = lo; ow < hi; ++ow) orow[ow] = in_row[ow * stride + shift];
+        }
+        for (int64_t ow = hi; ow < out_w; ++ow) orow[ow] = 0.0f;
+      }
     }
-    const float* in_row = in_c + ih * width;
-    if (lo > 0) std::memset(orow, 0, static_cast<size_t>(lo) * sizeof(float));
-    if (hi < out_w) {
-      std::memset(orow + hi, 0, static_cast<size_t>(out_w - hi) * sizeof(float));
-    }
-    if (stride == 1) {
-      std::memcpy(orow + lo, in_row + (lo - pad + kw), static_cast<size_t>(hi - lo) * sizeof(float));
-    } else {
-      for (int64_t ow = lo; ow < hi; ++ow) orow[ow] = in_row[ow * stride - pad + kw];
+    t += end - i;
+    if (++kw == kernel_w) {
+      kw = 0;
+      if (++kh == kernel_h) {
+        kh = 0;
+        ++c;
+      }
     }
   }
 }
 
+/// col2im of items [t0, t1) of the (channel x sample) grid, channel-major,
+/// from a column buffer laid out as im2col_items writes it. Tap rows flagged
+/// in `dead_rows` (nullptr: none) are skipped. Every output element still
+/// accumulates in (kh, kw, oh) order — samples are disjoint, and within one
+/// tap the ow -> iw map is injective — so the sums are the reference's bit
+/// for bit.
 FEDTINY_KERNEL_CLONES
-void col2im_tap_add(const float* col_row, float* out_c, int64_t height, int64_t width, int64_t kh,
-                    int64_t kw, int64_t stride, int64_t pad, int64_t out_h, int64_t out_w) {
-  int64_t lo = 0, hi = 0;
-  tap_bounds(out_w, width, kw, stride, pad, &lo, &hi);
-  for (int64_t oh = 0; oh < out_h; ++oh) {
-    const int64_t ih = oh * stride - pad + kh;
-    if (ih < 0 || ih >= height) continue;
-    float* out_row = out_c + ih * width;
-    const float* crow = col_row + oh * out_w;
-    if (stride == 1) {
-      // Interior: contiguous accumulate. Within one (kh, kw, oh) tap the
-      // ow -> iw map is injective, so vectorizing this loop cannot reorder
-      // any single output element's accumulation.
-      float* dst = out_row + (lo - pad + kw);
-      for (int64_t t = 0; t < hi - lo; ++t) dst[t] += crow[lo + t];
-    } else {
-      for (int64_t ow = lo; ow < hi; ++ow) out_row[ow * stride - pad + kw] += crow[ow];
+void col2im_items(const float* cols, int64_t batch, int64_t channels, int64_t height,
+                  int64_t width, int64_t kernel_h, int64_t kernel_w, int64_t stride, int64_t pad,
+                  float* out, int64_t ld, const uint8_t* dead_rows, int64_t t0, int64_t t1) {
+  const int64_t out_h = (height + 2 * pad - kernel_h) / stride + 1;
+  const int64_t out_w = (width + 2 * pad - kernel_w) / stride + 1;
+  const int64_t taps = kernel_h * kernel_w, plane = height * width;
+  for (int64_t t = t0, c = t0 / batch, i = t0 % batch; t < t1; i = 0, ++c) {
+    const int64_t end = std::min(batch, i + t1 - t);
+    for (int64_t kh = 0; kh < kernel_h; ++kh) {
+      for (int64_t kw = 0; kw < kernel_w; ++kw) {
+        const int64_t row = c * taps + kh * kernel_w + kw;
+        if (dead_rows != nullptr && dead_rows[row] != 0) continue;
+        int64_t lo = 0, hi = 0;
+        tap_bounds(out_w, width, kw, stride, pad, &lo, &hi);
+        const int64_t shift = kw - pad;
+        for (int64_t s = i; s < end; ++s) {
+          const float* crow = cols + row * ld + s * out_h * out_w;
+          float* out_s = out + (s * channels + c) * plane;
+          for (int64_t oh = 0; oh < out_h; ++oh, crow += out_w) {
+            const int64_t ih = oh * stride - pad + kh;
+            if (ih < 0 || ih >= height) continue;
+            float* out_row = out_s + ih * width;
+            if (stride == 1) {
+              for (int64_t ow = lo; ow < hi; ++ow) out_row[ow + shift] += crow[ow];
+            } else {
+              for (int64_t ow = lo; ow < hi; ++ow) out_row[ow * stride + shift] += crow[ow];
+            }
+          }
+        }
+      }
     }
+    t += end - i;
   }
 }
 
@@ -1113,93 +1242,72 @@ void gemm_fast_ex(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k, f
 
 int64_t scratch_bytes() { return g_scratch_bytes.load(std::memory_order_relaxed); }
 
+namespace {
+
+/// Output plane size (out_h * out_w) of a conv geometry.
+int64_t out_plane(int64_t height, int64_t width, int64_t kernel_h, int64_t kernel_w,
+                  int64_t stride, int64_t pad) {
+  return ((height + 2 * pad - kernel_h) / stride + 1) * ((width + 2 * pad - kernel_w) / stride + 1);
+}
+
+/// The movers' shared body: `batch` samples against a column buffer of row
+/// pitch `ld`, sample i's block at column i*out_h*out_w of every row. Items
+/// write disjoint blocks (im2col) or scatter into disjoint planes (col2im),
+/// so any lane count produces the serial bytes.
+void im2col_pitched(const float* in, int64_t batch, int64_t channels, int64_t height,
+                    int64_t width, int64_t kernel_h, int64_t kernel_w, int64_t stride, int64_t pad,
+                    float* cols, int64_t ld) {
+  const int64_t items = channels * kernel_h * kernel_w * batch;
+  const double bytes = static_cast<double>(
+      items * out_plane(height, width, kernel_h, kernel_w, stride, pad) * 2 * sizeof(float));
+  KernelLanes lanes(extra_lanes_for(bytes, kMinLaneBytes));
+  pool_for_bands(items, 1, lanes.extra(), [&](int64_t t0, int64_t t1) {
+    im2col_items(in, batch, channels, height, width, kernel_h, kernel_w, stride, pad, cols, ld, t0,
+                 t1);
+  });
+}
+
+void col2im_pitched(const float* cols, int64_t batch, int64_t channels, int64_t height,
+                    int64_t width, int64_t kernel_h, int64_t kernel_w, int64_t stride, int64_t pad,
+                    float* out, int64_t ld, const uint8_t* dead_rows) {
+  const int64_t items = channels * batch;
+  const double bytes = static_cast<double>(items * kernel_h * kernel_w *
+                                           out_plane(height, width, kernel_h, kernel_w, stride, pad) *
+                                           2 * sizeof(float));
+  KernelLanes lanes(extra_lanes_for(bytes, kMinLaneBytes));
+  pool_for_bands(items, 1, lanes.extra(), [&](int64_t t0, int64_t t1) {
+    col2im_items(cols, batch, channels, height, width, kernel_h, kernel_w, stride, pad, out, ld,
+                 dead_rows, t0, t1);
+  });
+}
+
+}  // namespace
+
 void im2col_fast(const float* in, int64_t channels, int64_t height, int64_t width,
                  int64_t kernel_h, int64_t kernel_w, int64_t stride, int64_t pad, float* out,
                  int64_t out_ld) {
-  const int64_t out_h = (height + 2 * pad - kernel_h) / stride + 1;
-  const int64_t out_w = (width + 2 * pad - kernel_w) / stride + 1;
-  const int64_t col_rows = channels * kernel_h * kernel_w;
-  parallel_for(col_rows, [&](int64_t row) {
-    const int64_t c = row / (kernel_h * kernel_w);
-    const int64_t rem = row % (kernel_h * kernel_w);
-    im2col_row(in + c * height * width, height, width, rem / kernel_w, rem % kernel_w, stride, pad,
-               out_h, out_w, out + row * out_ld);
-  });
+  im2col_pitched(in, 1, channels, height, width, kernel_h, kernel_w, stride, pad, out, out_ld);
 }
 
 void col2im_fast(const float* cols, int64_t channels, int64_t height, int64_t width,
                  int64_t kernel_h, int64_t kernel_w, int64_t stride, int64_t pad, float* out,
                  int64_t cols_ld) {
-  const int64_t out_h = (height + 2 * pad - kernel_h) / stride + 1;
-  const int64_t out_w = (width + 2 * pad - kernel_w) / stride + 1;
-  // Parallel over channels (disjoint scatter targets); the (kh, kw) tap order
-  // inside a channel matches reference, keeping results bitwise-identical.
-  parallel_for(channels, [&](int64_t c) {
-    float* out_c = out + c * height * width;
-    for (int64_t kh = 0; kh < kernel_h; ++kh) {
-      for (int64_t kw = 0; kw < kernel_w; ++kw) {
-        const int64_t row = (c * kernel_h + kh) * kernel_w + kw;
-        col2im_tap_add(cols + row * cols_ld, out_c, height, width, kh, kw, stride, pad, out_h,
-                       out_w);
-      }
-    }
-  });
+  col2im_pitched(cols, 1, channels, height, width, kernel_h, kernel_w, stride, pad, out, cols_ld,
+                 nullptr);
 }
 
 void im2col_batched_fast(const float* in, int64_t batch, int64_t channels, int64_t height,
                          int64_t width, int64_t kernel_h, int64_t kernel_w, int64_t stride,
                          int64_t pad, float* cols) {
-  const int64_t out_h = (height + 2 * pad - kernel_h) / stride + 1;
-  const int64_t out_w = (width + 2 * pad - kernel_w) / stride + 1;
-  const int64_t taps = kernel_h * kernel_w;
-  const int64_t col_rows = channels * taps;
-  const int64_t col_cols = out_h * out_w;
-  // (sample x column-row) items: each writes one disjoint pitched row of the
-  // staging buffer with the single-sample row mover, so any lane count
-  // produces the serial bytes.
-  const int64_t items = batch * col_rows;
-  KernelLanes lanes(
-      extra_lanes_for(static_cast<double>(items * col_cols) * 2.0 * sizeof(float), kMinLaneBytes));
-  pool_for_bands(items, 1, lanes.extra(), [&](int64_t t0, int64_t t1) {
-    for (int64_t t = t0; t < t1; ++t) {
-      const int64_t i = t / col_rows;
-      const int64_t row = t % col_rows;
-      const int64_t c = row / taps;
-      const int64_t rem = row % taps;
-      im2col_row(in + (i * channels + c) * height * width, height, width, rem / kernel_w,
-                 rem % kernel_w, stride, pad, out_h, out_w,
-                 cols + row * batch * col_cols + i * col_cols);
-    }
-  });
+  im2col_pitched(in, batch, channels, height, width, kernel_h, kernel_w, stride, pad, cols,
+                 batch * out_plane(height, width, kernel_h, kernel_w, stride, pad));
 }
 
 void col2im_batched_fast(const float* cols, int64_t batch, int64_t channels, int64_t height,
                          int64_t width, int64_t kernel_h, int64_t kernel_w, int64_t stride,
-                         int64_t pad, float* out) {
-  const int64_t out_h = (height + 2 * pad - kernel_h) / stride + 1;
-  const int64_t out_w = (width + 2 * pad - kernel_w) / stride + 1;
-  const int64_t col_cols = out_h * out_w;
-  // (sample x channel) items: scatter targets are disjoint across items, and
-  // within an item the (kh, kw) tap order matches the reference loop, so the
-  // threaded accumulate is bitwise-identical at any lane count.
-  const int64_t items = batch * channels;
-  KernelLanes lanes(extra_lanes_for(
-      static_cast<double>(items * kernel_h * kernel_w * col_cols) * 2.0 * sizeof(float),
-      kMinLaneBytes));
-  pool_for_bands(items, 1, lanes.extra(), [&](int64_t t0, int64_t t1) {
-    for (int64_t t = t0; t < t1; ++t) {
-      const int64_t i = t / channels;
-      const int64_t c = t % channels;
-      float* out_c = out + (i * channels + c) * height * width;
-      for (int64_t kh = 0; kh < kernel_h; ++kh) {
-        for (int64_t kw = 0; kw < kernel_w; ++kw) {
-          const int64_t row = (c * kernel_h + kh) * kernel_w + kw;
-          col2im_tap_add(cols + row * batch * col_cols + i * col_cols, out_c, height, width, kh,
-                         kw, stride, pad, out_h, out_w);
-        }
-      }
-    }
-  });
+                         int64_t pad, float* out, const uint8_t* dead_rows) {
+  col2im_pitched(cols, batch, channels, height, width, kernel_h, kernel_w, stride, pad, out,
+                 batch * out_plane(height, width, kernel_h, kernel_w, stride, pad), dead_rows);
 }
 
 void permute_to_samples(const float* staging, int64_t rows, int64_t batch, int64_t cols,

@@ -34,10 +34,11 @@ Mode parse_mode(const char* name) {
 }
 
 Mode detail::mode_from_env() {
-  const char* env = std::getenv("FEDTINY_KERNELS");
+  const char* env = std::getenv(kModeEnv);
   if (env != nullptr && env[0] != '\0' && std::strcmp(env, "reference") != 0 &&
       std::strcmp(env, "fast") != 0) {
-    std::fprintf(stderr, "FEDTINY_KERNELS=%s unrecognized; using \"fast\"\n", env);
+    std::fprintf(stderr, "%s=%s ignored: expected %s; using \"fast\"\n", kModeEnv, env,
+                 kModeNames);
   }
   return mode_from_name(env);
 }

@@ -83,10 +83,10 @@ void im2col_batched(const float* in, int64_t batch, int64_t channels, int64_t he
 
 void col2im_batched(const float* cols, int64_t batch, int64_t channels, int64_t height,
                     int64_t width, int64_t kernel_h, int64_t kernel_w, int64_t stride, int64_t pad,
-                    float* out) {
+                    float* out, const uint8_t* dead_rows) {
   if (kernels::mode() == kernels::Mode::kFast) {
     kernels::col2im_batched_fast(cols, batch, channels, height, width, kernel_h, kernel_w, stride,
-                                 pad, out);
+                                 pad, out, dead_rows);
   } else {
     kernels::col2im_batched_reference(cols, batch, channels, height, width, kernel_h, kernel_w,
                                       stride, pad, out);

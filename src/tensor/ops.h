@@ -52,17 +52,19 @@ void col2im(const float* cols, int64_t channels, int64_t height, int64_t width, 
             int64_t kernel_w, int64_t stride, int64_t pad, float* out, int64_t cols_ld);
 
 /// Whole-batch im2col into one [C*kh*kw, batch*out_h*out_w] staging buffer
-/// (sample i's block at column i*out_h*out_w). Fast threads (sample x row)
+/// (sample i's block at column i*out_h*out_w). Fast threads (row x sample)
 /// items over kernel lanes; both modes write identical bits.
 void im2col_batched(const float* in, int64_t batch, int64_t channels, int64_t height, int64_t width,
                     int64_t kernel_h, int64_t kernel_w, int64_t stride, int64_t pad, float* cols);
 
 /// Whole-batch col2im accumulating into `out` (batch contiguous [C, H, W]
-/// samples, caller-zeroed). Fast threads (sample x channel) items; both modes
+/// samples, caller-zeroed). Fast threads (channel x sample) items and skips
+/// the rows flagged in `dead_rows` (see kernels::col2im_batched_fast);
+/// reference mode, whose GEMM flags no rows, ignores the flags. Both modes
 /// produce identical bits.
 void col2im_batched(const float* cols, int64_t batch, int64_t channels, int64_t height,
                     int64_t width, int64_t kernel_h, int64_t kernel_w, int64_t stride, int64_t pad,
-                    float* out);
+                    float* out, const uint8_t* dead_rows = nullptr);
 
 /// y += alpha * x.
 void axpy(float alpha, std::span<const float> x, std::span<float> y);

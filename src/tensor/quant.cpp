@@ -9,7 +9,9 @@
 // explicitly-SIMD SSSE3 shuffle decoder for the varint stream behind a
 // runtime __builtin_cpu_supports check.
 #if defined(__x86_64__) && defined(__ELF__) && defined(__has_attribute)
-#if __has_attribute(target_clones)
+// ThreadSanitizer builds go without the clones: their ifunc resolvers run
+// before the TSan runtime is up and crash the binary at load.
+#if __has_attribute(target_clones) && !defined(__SANITIZE_THREAD__)
 #define FEDTINY_QUANT_CLONES \
   __attribute__((target_clones("avx512f", "avx2", "default")))
 #endif

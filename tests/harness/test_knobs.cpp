@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <optional>
@@ -14,6 +15,7 @@
 
 #include "harness/runner.h"
 #include "harness/scale.h"
+#include "tensor/kernels.h"
 
 namespace fedtiny::harness {
 namespace {
@@ -211,6 +213,25 @@ TEST_F(KnobEnv, CodecTypoWarnsAndIsIgnored) {
   RunSpec pinned;
   pinned.codec = "q4";
   EXPECT_EQ(with_env_knobs(pinned).codec, "q4");
+}
+
+// One typo, one line: the kernel engine owns the FEDTINY_KERNELS diagnostic
+// (it warns when it seeds the process mode), so the knob table ignores a
+// malformed value without a word of its own.
+TEST_F(KnobEnv, KernelsTypoWarnsExactlyOnce) {
+  setenv("FEDTINY_KERNELS", "refrence", 1);
+  testing::internal::CaptureStderr();
+  const RunSpec out = with_env_knobs(RunSpec{});
+  // What the engine runs on its first use in a process.
+  const kernels::Mode seeded = kernels::detail::mode_from_env();
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(out.kernels, "");
+  EXPECT_EQ(seeded, kernels::Mode::kFast);
+  EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+  EXPECT_EQ(err.rfind("FEDTINY_KERNELS=refrence ignored", 0), 0u) << err;
+  // A well-formed value still fills an unpinned spec.
+  setenv("FEDTINY_KERNELS", "reference", 1);
+  EXPECT_EQ(with_env_knobs(RunSpec{}).kernels, "reference");
 }
 
 TEST(Scale, UnknownValueWarnsAndFallsBackToTiny) {

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -710,7 +711,62 @@ TEST(KernelParity, BatchedMoversBitwiseEqualReferenceAtAnyLaneCount) {
     ASSERT_EQ(0, std::memcmp(ref_out.data(), out.data(), out.size() * sizeof(float)))
         << "col2im budget " << budget;
   }
+  // Rows flagged dead are skipped whatever they hold: the result equals the
+  // reference over the same buffer with those rows zeroed.
+  std::vector<uint8_t> dead(static_cast<size_t>(col_rows), 0);
+  auto zeroed = grad_cols, garbage = grad_cols;
+  for (int64_t r = 0; r < col_rows; r += 3) {
+    dead[static_cast<size_t>(r)] = 1;
+    std::fill_n(zeroed.begin() + r * batch * col_cols, batch * col_cols, 0.0f);
+    std::fill_n(garbage.begin() + r * batch * col_cols, batch * col_cols, 1e30f);
+  }
+  std::vector<float> want(in.size(), 0.0f), got(in.size(), 0.0f);
+  col2im_batched_reference(zeroed.data(), batch, c, h, w, kh, kw, stride, pad, want.data());
+  ex.set_thread_budget(2);
+  col2im_batched_fast(garbage.data(), batch, c, h, w, kh, kw, stride, pad, got.data(), dead.data());
+  EXPECT_EQ(0, std::memcmp(want.data(), got.data(), got.size() * sizeof(float)));
   ex.set_thread_budget(before);
+}
+
+TEST(GemmEpilogue, DeadRowsAreExactlyTheAllZeroRowsLeftUnwritten) {
+  // Masked-dense TN operand (the conv backward's W^T): every third op(A) row
+  // all zero, the rest ~1% dense. Flagged rows keep the caller's sentinel,
+  // and every flag marks a row the plain GEMM writes as +0; unflagged rows
+  // match the plain GEMM bitwise.
+  ScopedMode pin(Mode::kFast);
+  Rng rng(139);
+  const int64_t m = 45, n = 96, k = 40;
+  std::vector<float> a(static_cast<size_t>(k * m), 0.0f);
+  for (int64_t p = 0; p < k; ++p) {
+    for (int64_t i = 0; i < m; ++i) {
+      if (i % 3 != 0 && rng.uniform() < 0.05) a[static_cast<size_t>(p * m + i)] = rng.normal();
+    }
+  }
+  const auto b = random_dense(k * n, rng);
+  std::vector<float> plain(static_cast<size_t>(m * n));
+  gemm_fast(true, false, m, n, k, 1.0f, a.data(), b.data(), 0.0f, plain.data());
+  std::vector<float> c(plain.size(), -7.0f);
+  std::vector<uint8_t> dead(static_cast<size_t>(m), 0);
+  GemmEpilogue epi;
+  epi.dead_rows = dead.data();
+  gemm_fast_ex(true, false, m, n, k, 1.0f, a.data(), b.data(), 0.0f, c.data(), epi);
+  int64_t flagged = 0;
+  for (int64_t i = 0; i < m; ++i) {
+    bool zero_row = true;
+    for (int64_t p = 0; p < k; ++p) zero_row &= a[static_cast<size_t>(p * m + i)] == 0.0f;
+    if (i % 3 == 0) EXPECT_EQ(dead[static_cast<size_t>(i)], 1) << "row " << i;
+    for (int64_t j = 0; j < n; ++j) {
+      const float want = dead[static_cast<size_t>(i)] != 0 ? -7.0f : plain[i * n + j];
+      ASSERT_EQ(0, std::memcmp(&want, &c[i * n + j], sizeof(float))) << i << "," << j;
+      if (dead[static_cast<size_t>(i)] != 0) {
+        ASSERT_TRUE(zero_row) << "row " << i;
+        ASSERT_EQ(std::signbit(plain[i * n + j]), false);
+        ASSERT_EQ(plain[i * n + j], 0.0f);
+      }
+    }
+    flagged += dead[static_cast<size_t>(i)];
+  }
+  EXPECT_GE(flagged, m / 3);
 }
 
 TEST(KernelParity, PermutesInvertEachOtherAndMatchNaiveLayout) {
