@@ -18,14 +18,18 @@
 // tolerance against the reference result. Exit checks: CSR beats dense at
 // <= 10% density (conv) / <= 5% (linear — PR 4's packed dense NT moved the
 // gather-bound spmm_nt crossover below 10%), and the fast-mode CSR
-// forward+backward aggregate beats reference at 10%.
+// forward+backward aggregate beats reference at 10%. The CSR-vs-dense gate
+// compares the fastest of several interleaved batches of each side; the
+// reported times stay means over all reps.
 //
 // Usage: bench_sparse_kernels [--smoke]
 // JSON:  set FEDTINY_BENCH_JSON=<path> to append records (see bench_json.h).
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -63,6 +67,31 @@ double time_ms(int reps, Fn fn) {
   return seconds_since(t0) * 1e3 / reps;
 }
 
+/// The crossover gate's estimator for a dense/CSR pair: `batches` rounds of
+/// `reps` dense calls then `reps` CSR calls, so host drift lands on both
+/// sides alike, and the fastest batch mean of each side. A one-off stall
+/// (another process, a page fault) then cannot flip a close pair the way it
+/// can flip the two back-to-back means.
+struct PairMs {
+  double dense, csr;
+};
+
+template <typename DenseFn, typename CsrFn>
+PairMs interleaved_min_ms(int reps, int batches, DenseFn dense, CsrFn csr) {
+  dense();  // warm
+  csr();
+  PairMs best{std::numeric_limits<double>::infinity(), std::numeric_limits<double>::infinity()};
+  for (int b = 0; b < batches; ++b) {
+    auto t0 = Clock::now();
+    for (int i = 0; i < reps; ++i) dense();
+    best.dense = std::min(best.dense, seconds_since(t0) * 1e3 / reps);
+    t0 = Clock::now();
+    for (int i = 0; i < reps; ++i) csr();
+    best.csr = std::min(best.csr, seconds_since(t0) * 1e3 / reps);
+  }
+  return best;
+}
+
 double max_abs_diff(const std::vector<float>& a, const std::vector<float>& b) {
   double m = 0.0;
   for (size_t i = 0; i < a.size(); ++i) {
@@ -87,6 +116,9 @@ struct Shapes {
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::string(argv[1]) == "--smoke";
   const int reps = smoke ? 3 : 30;
+  // The crossover gate times its dense/CSR pairs separately (interleaved_min_ms).
+  constexpr int kGateBatches = 5;
+  const int gate_reps = smoke ? 1 : 10;
   // conv-shaped: resnet block at width 1.0; linear-shaped: classifier-ish.
   const Shapes sh = smoke ? Shapes{32, 288, 64, 64, 128, 16}
                           : Shapes{128, 1152, 256, 512, 1024, 64};
@@ -112,10 +144,13 @@ int main(int argc, char** argv) {
   bool low_density_wins = true;
   bool fast_beats_reference = true;
 
+  std::printf("ms = mean over %d reps; gate = dense/CSR, fastest of %d interleaved batches of %d "
+              "each\n",
+              reps, kGateBatches, gate_reps);
   std::printf("%-8s %-9s | %-26s | %-26s | %s\n", "", "", "conv W*cols (spmm)",
               "linear x*W^T (spmm_nt)", "csr fwd+bwd");
   std::printf("%-8s %-9s | %8s %8s %6s | %8s %8s %6s | %8s\n", "density", "mode", "dense_ms",
-              "csr_ms", "spdup", "dense_ms", "csr_ms", "spdup", "total_ms");
+              "csr_ms", "gate", "dense_ms", "csr_ms", "gate", "total_ms");
 
   for (double density : densities) {
     // ---- conv-shaped operands (shared across modes). ----
@@ -166,18 +201,22 @@ int main(int argc, char** argv) {
       const int mi = mode == kernels::Mode::kFast ? 1 : 0;
 
       // ---- forward ----
-      const double conv_dense_ms = time_ms(reps, [&] {
+      const auto conv_dense = [&] {
         ops::gemm(false, false, sh.conv_out, sh.conv_spatial, sh.conv_fan, 1.0f, w.data(),
                   cols.data(), 0.0f, yd.data());
-      });
-      const double conv_csr_ms =
-          time_ms(reps, [&] { sparse::spmm(csr, cols.data(), sh.conv_spatial, ys.data()); });
-      const double lin_dense_ms = time_ms(reps, [&] {
+      };
+      const auto conv_csr = [&] { sparse::spmm(csr, cols.data(), sh.conv_spatial, ys.data()); };
+      const auto lin_dense = [&] {
         ops::gemm(false, true, sh.lin_batch, sh.lin_out, sh.lin_in, 1.0f, x.data(), lw.data(),
                   0.0f, ld.data());
-      });
-      const double lin_csr_ms =
-          time_ms(reps, [&] { sparse::spmm_nt(lcsr, x.data(), sh.lin_batch, ls.data()); });
+      };
+      const auto lin_csr = [&] { sparse::spmm_nt(lcsr, x.data(), sh.lin_batch, ls.data()); };
+      const double conv_dense_ms = time_ms(reps, conv_dense);
+      const double conv_csr_ms = time_ms(reps, conv_csr);
+      const double lin_dense_ms = time_ms(reps, lin_dense);
+      const double lin_csr_ms = time_ms(reps, lin_csr);
+      const PairMs conv_gate = interleaved_min_ms(gate_reps, kGateBatches, conv_dense, conv_csr);
+      const PairMs lin_gate = interleaved_min_ms(gate_reps, kGateBatches, lin_dense, lin_csr);
 
       // ---- backward kernels (masked training path) ----
       const double conv_dgrad_ms = time_ms(reps, [&] {
@@ -219,8 +258,8 @@ int main(int argc, char** argv) {
       }
 
       // ---- report ----
-      const double conv_speedup = conv_csr_ms > 0.0 ? conv_dense_ms / conv_csr_ms : 0.0;
-      const double lin_speedup = lin_csr_ms > 0.0 ? lin_dense_ms / lin_csr_ms : 0.0;
+      const double conv_speedup = conv_gate.csr > 0.0 ? conv_gate.dense / conv_gate.csr : 0.0;
+      const double lin_speedup = lin_gate.csr > 0.0 ? lin_gate.dense / lin_gate.csr : 0.0;
       std::printf("%7.0f%% %-9s | %8.3f %8.3f %5.2fx | %8.3f %8.3f %5.2fx | %8.3f\n",
                   density * 100.0, mode_str(mode), conv_dense_ms, conv_csr_ms, conv_speedup,
                   lin_dense_ms, lin_csr_ms, lin_speedup, csr_total_ms[mi]);

@@ -53,8 +53,12 @@ std::vector<RunResult> run_all(const Experiment& experiment, const std::vector<R
   if (!pinned.empty()) kernels::set_mode(kernels::parse_mode(pinned.c_str()));
   if (workers <= 0) {
     const char* env = std::getenv("FEDTINY_WORKERS");
-    if (env != nullptr) {
-      workers = std::atoi(env);
+    if (env != nullptr && *env != '\0') {
+      if (const auto parsed = parse_thread_count(env)) {
+        workers = *parsed;
+      } else {
+        warn_ambient("FEDTINY_WORKERS", env, "expected a non-negative integer; using the default");
+      }
     }
     if (workers <= 0) workers = default_pool_workers();
   }

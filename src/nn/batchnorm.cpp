@@ -1,9 +1,8 @@
 #include "nn/batchnorm.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
-
-#include "tensor/parallel.h"
 
 namespace fedtiny::nn {
 
@@ -34,7 +33,7 @@ Tensor BatchNorm2d::forward(const Tensor& x, Mode mode) {
 
   Tensor mean({channels_}), var({channels_});
   if (use_batch_stats) {
-    parallel_for(channels_, [&](int64_t c) {
+    for (int64_t c = 0; c < channels_; ++c) {
       double s = 0.0, ss = 0.0;
       for (int64_t i = 0; i < n; ++i) {
         const float* row = x.data() + (i * channels_ + c) * spatial;
@@ -46,7 +45,7 @@ Tensor BatchNorm2d::forward(const Tensor& x, Mode mode) {
       const double m = s / count;
       mean[c] = static_cast<float>(m);
       var[c] = static_cast<float>(std::max(0.0, ss / count - m * m));
-    });
+    }
     if (mode == Mode::kTrain) {
       for (int64_t c = 0; c < channels_; ++c) {
         running_mean_[c] = (1.0f - momentum_) * running_mean_[c] + momentum_ * mean[c];
@@ -69,7 +68,7 @@ Tensor BatchNorm2d::forward(const Tensor& x, Mode mode) {
     if (!xhat_.same_shape(x)) xhat_ = Tensor(x.shape());
     invstd_ = Tensor({channels_});
   }
-  parallel_for(channels_, [&](int64_t c) {
+  for (int64_t c = 0; c < channels_; ++c) {
     const float istd = 1.0f / std::sqrt(var[c] + eps_);
     const float g = gamma_.value[c], b = beta_.value[c], m = mean[c];
     if (mode == Mode::kTrain) invstd_[c] = istd;
@@ -83,7 +82,7 @@ Tensor BatchNorm2d::forward(const Tensor& x, Mode mode) {
         yout[j] = g * normalized + b;
       }
     }
-  });
+  }
   return y;
 }
 
@@ -95,7 +94,7 @@ Tensor BatchNorm2d::backward(const Tensor& grad_output) {
   const int64_t count = n * spatial;
 
   Tensor grad_input({n, channels_, h, w});
-  parallel_for(channels_, [&](int64_t c) {
+  for (int64_t c = 0; c < channels_; ++c) {
     // Standard BN backward: with xh = xhat, g = gamma,
     //   dgamma = sum(dy * xh), dbeta = sum(dy)
     //   dx = g * istd / count * (count*dy - dbeta - xh * dgamma)
@@ -120,7 +119,7 @@ Tensor BatchNorm2d::backward(const Tensor& grad_output) {
                          xh[j] * static_cast<float>(dgamma));
       }
     }
-  });
+  }
   return grad_input;
 }
 

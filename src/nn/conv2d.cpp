@@ -6,7 +6,6 @@
 #include "nn/init.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
-#include "tensor/parallel.h"
 
 namespace fedtiny::nn {
 
@@ -95,12 +94,12 @@ Tensor Conv2d::forward(const Tensor& x, Mode mode) {
     kernels::permute_to_samples(ybuf_.data(), out_channels_, n, col_cols, y.data());
     if (epi.relu_mask != nullptr) {
       relu_mask_.resize(static_cast<size_t>(n * out_channels_ * col_cols));
-      parallel_for(n * out_channels_, [&](int64_t idx) {
+      for (int64_t idx = 0; idx < n * out_channels_; ++idx) {
         const int64_t i = idx / out_channels_;
         const int64_t o = idx % out_channels_;
         std::memcpy(relu_mask_.data() + idx * col_cols, maskbuf_.data() + o * bcols + i * col_cols,
                     static_cast<size_t>(col_cols));
-      });
+      }
     }
   } else {
     // Per-sample pipeline (reference mode verbatim — reference results must
@@ -121,11 +120,11 @@ Tensor Conv2d::forward(const Tensor& x, Mode mode) {
       }
     }
     if (has_bias_) {
-      parallel_for(n * out_channels_, [&](int64_t idx) {
+      for (int64_t idx = 0; idx < n * out_channels_; ++idx) {
         float* row = y.data() + idx * col_cols;
         const float b = bias_.value[idx % out_channels_];
         for (int64_t j = 0; j < col_cols; ++j) row[j] += b;
-      });
+      }
     }
     if (fused_relu_) {
       // Ordered post-pass over the finished output — exactly what the
@@ -217,17 +216,15 @@ Tensor Conv2d::backward_impl(const Tensor& grad_output) {
     ops::col2im_batched(dcols_.data(), n, in_channels_, last_in_h_, last_in_w_, kernel_, kernel_,
                         stride_, pad_, grad_input.data(), dead_rows_.data());
     if (has_bias_) {
-      // Parallel over output channels: each bias_.grad[c] still accumulates
-      // its per-sample sums in ascending i order (the exact serial order),
-      // and channels are disjoint — bitwise-identical at any thread count.
-      parallel_for(out_channels_, [&](int64_t c) {
+      // Each bias_.grad[c] accumulates its per-sample sums in ascending i.
+      for (int64_t c = 0; c < out_channels_; ++c) {
         for (int64_t i = 0; i < n; ++i) {
           const float* row = grad_output.data() + (i * out_channels_ + c) * col_cols;
           float s = 0.0f;
           for (int64_t j = 0; j < col_cols; ++j) s += row[j];
           bias_.grad[c] += s;
         }
-      });
+      }
     }
     return grad_input;
   }

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "tensor/ops.h"
-#include "tensor/parallel.h"
 
 namespace fedtiny::nn {
 
@@ -21,7 +20,7 @@ Tensor MaxPool2d::forward(const Tensor& x, Mode mode) {
   } else {
     argmax_.clear();
   }
-  parallel_for(n * c, [&](int64_t nc) {
+  for (int64_t nc = 0; nc < n * c; ++nc) {
     const float* in = x.data() + nc * h * w;
     float* out = y.data() + nc * out_h * out_w;
     for (int64_t oh = 0; oh < out_h; ++oh) {
@@ -44,7 +43,7 @@ Tensor MaxPool2d::forward(const Tensor& x, Mode mode) {
         if (save) argmax_[static_cast<size_t>(nc * out_h * out_w + oh * out_w + ow)] = best_idx;
       }
     }
-  });
+  }
   return y;
 }
 
@@ -53,13 +52,13 @@ Tensor MaxPool2d::backward(const Tensor& grad_output) {
   const int64_t n = input_shape_[0], c = input_shape_[1], h = input_shape_[2], w = input_shape_[3];
   const int64_t out_spatial = grad_output.dim(2) * grad_output.dim(3);
   Tensor grad_input({n, c, h, w});
-  parallel_for(n * c, [&](int64_t nc) {
+  for (int64_t nc = 0; nc < n * c; ++nc) {
     const float* dy = grad_output.data() + nc * out_spatial;
     float* dx = grad_input.data() + nc * h * w;
     for (int64_t j = 0; j < out_spatial; ++j) {
       dx[argmax_[static_cast<size_t>(nc * out_spatial + j)]] += dy[j];
     }
-  });
+  }
   return grad_input;
 }
 
@@ -69,12 +68,12 @@ Tensor GlobalAvgPool::forward(const Tensor& x, Mode mode) {
   const int64_t n = x.dim(0), c = x.dim(1), spatial = x.dim(2) * x.dim(3);
   input_shape_ = x.shape();
   Tensor y({n, c});
-  parallel_for(n * c, [&](int64_t nc) {
+  for (int64_t nc = 0; nc < n * c; ++nc) {
     const float* in = x.data() + nc * spatial;
     float s = 0.0f;
     for (int64_t j = 0; j < spatial; ++j) s += in[j];
     y[nc] = s / static_cast<float>(spatial);
-  });
+  }
   return y;
 }
 
@@ -82,11 +81,11 @@ Tensor GlobalAvgPool::backward(const Tensor& grad_output) {
   const int64_t n = input_shape_[0], c = input_shape_[1];
   const int64_t spatial = input_shape_[2] * input_shape_[3];
   Tensor grad_input({n, c, input_shape_[2], input_shape_[3]});
-  parallel_for(n * c, [&](int64_t nc) {
+  for (int64_t nc = 0; nc < n * c; ++nc) {
     const float g = grad_output[nc] / static_cast<float>(spatial);
     float* dx = grad_input.data() + nc * spatial;
     for (int64_t j = 0; j < spatial; ++j) dx[j] = g;
-  });
+  }
   return grad_input;
 }
 

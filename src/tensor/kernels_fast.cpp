@@ -13,15 +13,16 @@
 //     up the portable baseline binary.
 //
 // Determinism contract: every blocking factor is a compile-time constant and
-// every output element is produced by exactly one parallel_for iteration, so
-// results are bitwise-identical across runs, FEDTINY_THREADS values, and
-// worker counts on a given machine. They are NOT bitwise-equal to reference
-// (reassociated sums and FMA contraction round differently), and the
-// selected clone can differ across CPU generations; the parity tests bound
-// the drift against reference instead of pinning bits.
+// every output element is produced by exactly one grain-aligned band (GEMM,
+// data movers) or one serial row walk (CSR kernels), so results are
+// bitwise-identical across runs, kernel lane counts, and worker counts on a
+// given machine. They are NOT bitwise-equal to reference (reassociated sums
+// and FMA contraction round differently), and the selected clone can differ
+// across CPU generations; the parity tests bound the drift against reference
+// instead of pinning bits.
 //
 // Layout note: the per-row/per-tile loop bodies live in flat file-local
-// helpers rather than inside the parallel_for lambdas — target_clones
+// helpers rather than inside the pool_for_bands lambdas — target_clones
 // applies to the function it annotates, and a lambda body is a different
 // function that would silently stay on the baseline ISA.
 #include <algorithm>
@@ -1350,8 +1351,7 @@ namespace {
 
 /// Stage the operand's tail columns ([n/kNr*kNr, n)) of B[k, n] as one
 /// zero-padded [k, kNr] strip in the calling thread's arena; nullptr when n
-/// is a kNr multiple. Lanes only read the stage, so one caller-side copy
-/// serves the whole parallel row walk.
+/// is a kNr multiple. One copy serves the whole row walk.
 const float* spmm_tail_stage(const float* b, int64_t k, int64_t n) {
   const int64_t j0 = n / kNr * kNr;
   if (j0 == n) return nullptr;
@@ -1367,48 +1367,44 @@ void spmm_fast(const sparse::CsrMatrix& a, const float* b, int64_t n, float* c, 
   // slower at the batched conv widths (the 4-entry B-row groups are already
   // streamed once per C row; panels only re-stream the structure).
   const float* btail = spmm_tail_stage(b, a.cols, n);
-  parallel_for(a.rows, [&](int64_t i) {
+  for (int64_t i = 0; i < a.rows; ++i) {
     spmm_row(a.row_ptr.data(), a.col_idx.data(), a.values.data(), b, n, btail, c + i * n, i,
              accumulate);
-  });
+  }
 }
 
 void spmm_nt_fast(const sparse::CsrMatrix& a, const float* b, int64_t n_rows, float* c) {
   const int64_t blocks = (n_rows + kBs - 1) / kBs;
-  parallel_for(blocks, [&](int64_t bi) { spmm_nt_block(a, b, bi * kBs, n_rows, c); });
+  for (int64_t bi = 0; bi < blocks; ++bi) spmm_nt_block(a, b, bi * kBs, n_rows, c);
 }
 
 void spmm_dn_fast(const sparse::CsrMatrix& a, const float* b, int64_t n_rows, float* c) {
   const int64_t blocks = (n_rows + kBs - 1) / kBs;
-  parallel_for(blocks, [&](int64_t bi) { spmm_dn_block(a, b, bi * kBs, n_rows, c); });
+  for (int64_t bi = 0; bi < blocks; ++bi) spmm_dn_block(a, b, bi * kBs, n_rows, c);
 }
 
 void spmm_tn_fast(const sparse::CsrMatrix& a, const float* b, int64_t n, float* c) {
   // A^T * B == (transpose of A) * B, run through the spmm row kernel: each C
   // row is produced by one owner with the 4-entry amortized read-modify-write
-  // — the in-place scatter form pays a full C-row RMW per structure entry
-  // and cannot parallelize (rows shared across CSR rows). Walking A's rows
-  // in ascending order fills each transposed row with ascending original-row
-  // indices, so per output element the accumulation visits the same terms in
-  // the same order as the scatter form modulo the row kernel's fixed 4-entry
-  // blocking (tolerance-bounded, and bitwise-deterministic across runs and
-  // thread counts as always). Matrices used repeatedly (Conv2d's masked
-  // backward) carry a cached transpose (sparse::build_transpose, kept fresh
-  // by refresh_values); otherwise build it for this call.
+  // — the in-place scatter form pays a full C-row RMW per structure entry.
+  // Walking A's rows in ascending order fills each transposed row with
+  // ascending original-row indices, so per output element the accumulation
+  // visits the same terms in the same order as the scatter form modulo the
+  // row kernel's fixed 4-entry blocking (tolerance-bounded, and
+  // bitwise-deterministic across runs). Matrices used repeatedly (Conv2d's
+  // masked backward) carry a cached transpose (sparse::build_transpose, kept
+  // fresh by refresh_values); otherwise build it for this call.
   const float* btail = spmm_tail_stage(b, a.rows, n);
-  if (a.has_transpose()) {
-    parallel_for(a.cols, [&](int64_t j) {
-      spmm_row(a.tr_row_ptr.data(), a.tr_col_idx.data(), a.tr_values.data(), b, n, btail,
-               c + j * n, j, /*accumulate=*/false);
-    });
-    return;
+  sparse::CsrMatrix built;
+  const sparse::CsrMatrix* tr = &a;
+  if (!a.has_transpose()) {
+    sparse::build_transpose(a, built);  // fills only built's tr_* arrays, no copy of a
+    tr = &built;
   }
-  sparse::CsrMatrix tr;
-  sparse::build_transpose(a, tr);  // fills only tr's tr_* arrays, no copy of a
-  parallel_for(a.cols, [&](int64_t j) {
-    spmm_row(tr.tr_row_ptr.data(), tr.tr_col_idx.data(), tr.tr_values.data(), b, n, btail,
+  for (int64_t j = 0; j < a.cols; ++j) {
+    spmm_row(tr->tr_row_ptr.data(), tr->tr_col_idx.data(), tr->tr_values.data(), b, n, btail,
              c + j * n, j, /*accumulate=*/false);
-  });
+  }
 }
 
 void masked_grad_dot_fast(const sparse::CsrMatrix& s, const float* a, const float* b, int64_t n,
@@ -1418,15 +1414,15 @@ void masked_grad_dot_fast(const sparse::CsrMatrix& s, const float* a, const floa
   constexpr int64_t kTn = 512;
   for (int64_t t0 = 0; t0 < n; t0 += kTn) {
     const int64_t t1 = std::min<int64_t>(n, t0 + kTn);
-    parallel_for(s.rows, [&](int64_t i) {
+    for (int64_t i = 0; i < s.rows; ++i) {
       masked_grad_dot_row(s, a + i * n, b, n, t0, t1, grad + i * s.cols, i);
-    });
+    }
   }
 }
 
 void masked_grad_tn_fast(const sparse::CsrMatrix& s, const float* a, const float* b, int64_t n,
                          float* grad) {
-  parallel_for(s.rows, [&](int64_t i) { masked_grad_tn_row(s, a, b, n, grad + i * s.cols, i); });
+  for (int64_t i = 0; i < s.rows; ++i) masked_grad_tn_row(s, a, b, n, grad + i * s.cols, i);
 }
 
 }  // namespace fedtiny::kernels

@@ -6,12 +6,12 @@
 // these loops; tests/tensor/test_kernels.cpp pins them against an inlined
 // copy of the original code.
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <string>
 
 #include "tensor/kernels.h"
-#include "tensor/parallel.h"
 #include "tensor/sparse.h"
 
 namespace fedtiny::kernels {
@@ -52,7 +52,7 @@ void gemm_reference(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
   // Row-major. Leading dims follow the *stored* layout:
   //   !trans_a: a is [m,k]; trans_a: a is [k,m].
   //   !trans_b: b is [k,n]; trans_b: b is [n,k].
-  parallel_for(m, [&](int64_t i) {
+  for (int64_t i = 0; i < m; ++i) {
     float* crow = c + i * n;
     if (beta == 0.0f) {
       std::memset(crow, 0, static_cast<size_t>(n) * sizeof(float));
@@ -68,7 +68,7 @@ void gemm_reference(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
         for (int64_t p = 0; p < k; ++p) s += arow[p] * brow[p];
         crow[j] += alpha * s;
       }
-      return;
+      continue;
     }
     for (int64_t p = 0; p < k; ++p) {
       const float av = trans_a ? a[p * m + i] : a[i * k + p];
@@ -81,7 +81,7 @@ void gemm_reference(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
         for (int64_t j = 0; j < n; ++j) crow[j] += s * b[j * k + p];
       }
     }
-  });
+  }
 }
 
 void gemm_epilogue_apply(int64_t m, int64_t n, float* c, const GemmEpilogue& epi) {
@@ -119,7 +119,7 @@ void im2col_reference(const float* in, int64_t channels, int64_t height, int64_t
   const int64_t out_h = (height + 2 * pad - kernel_h) / stride + 1;
   const int64_t out_w = (width + 2 * pad - kernel_w) / stride + 1;
   const int64_t col_rows = channels * kernel_h * kernel_w;
-  parallel_for(col_rows, [&](int64_t row) {
+  for (int64_t row = 0; row < col_rows; ++row) {
     const int64_t c = row / (kernel_h * kernel_w);
     const int64_t rem = row % (kernel_h * kernel_w);
     const int64_t kh = rem / kernel_w;
@@ -138,7 +138,7 @@ void im2col_reference(const float* in, int64_t channels, int64_t height, int64_t
         out_row[oh * out_w + ow] = (iw >= 0 && iw < width) ? in_row[iw] : 0.0f;
       }
     }
-  });
+  }
 }
 
 void col2im_reference(const float* cols, int64_t channels, int64_t height, int64_t width,
@@ -148,8 +148,7 @@ void col2im_reference(const float* cols, int64_t channels, int64_t height, int64
   // out_h*out_w row pitch (address arithmetic only).
   const int64_t out_h = (height + 2 * pad - kernel_h) / stride + 1;
   const int64_t out_w = (width + 2 * pad - kernel_w) / stride + 1;
-  // Parallel over channels: each channel's scatter targets are disjoint.
-  parallel_for(channels, [&](int64_t c) {
+  for (int64_t c = 0; c < channels; ++c) {
     float* out_c = out + c * height * width;
     for (int64_t kh = 0; kh < kernel_h; ++kh) {
       for (int64_t kw = 0; kw < kernel_w; ++kw) {
@@ -166,7 +165,7 @@ void col2im_reference(const float* cols, int64_t channels, int64_t height, int64
         }
       }
     }
-  });
+  }
 }
 
 void im2col_batched_reference(const float* in, int64_t batch, int64_t channels, int64_t height,
@@ -197,10 +196,10 @@ void col2im_batched_reference(const float* cols, int64_t batch, int64_t channels
 
 void spmm_reference(const sparse::CsrMatrix& a, const float* b, int64_t n, float* c,
                     bool accumulate) {
-  // Row-of-C parallel: each CSR row touches only its own output row. The
-  // inner accumulation visits columns in ascending order, matching the dense
-  // gemm's k-loop with zero-skipping (bitwise-identical results).
-  parallel_for(a.rows, [&](int64_t i) {
+  // Each CSR row touches only its own output row. The inner accumulation
+  // visits columns in ascending order, matching the dense gemm's k-loop with
+  // zero-skipping (bitwise-identical results).
+  for (int64_t i = 0; i < a.rows; ++i) {
     float* crow = c + i * n;
     if (!accumulate) std::memset(crow, 0, static_cast<size_t>(n) * sizeof(float));
     for (int64_t p = a.row_ptr[static_cast<size_t>(i)]; p < a.row_ptr[static_cast<size_t>(i) + 1];
@@ -209,13 +208,13 @@ void spmm_reference(const sparse::CsrMatrix& a, const float* b, int64_t n, float
       const float* brow = b + static_cast<int64_t>(a.col_idx[static_cast<size_t>(p)]) * n;
       for (int64_t j = 0; j < n; ++j) crow[j] += v * brow[j];
     }
-  });
+  }
 }
 
 void spmm_nt_reference(const sparse::CsrMatrix& a, const float* b, int64_t n_rows, float* c) {
   // C[i, j] = <B row i, A row j>; the sparse dot walks A's kept columns in
   // ascending order — same accumulation order as the dense dot over all k.
-  parallel_for(n_rows, [&](int64_t i) {
+  for (int64_t i = 0; i < n_rows; ++i) {
     const float* brow = b + i * a.cols;
     float* crow = c + i * a.rows;
     for (int64_t j = 0; j < a.rows; ++j) {
@@ -226,14 +225,14 @@ void spmm_nt_reference(const sparse::CsrMatrix& a, const float* b, int64_t n_row
       }
       crow[j] = s;
     }
-  });
+  }
 }
 
 void spmm_dn_reference(const sparse::CsrMatrix& a, const float* b, int64_t n_rows, float* c) {
   // C row i accumulates over CSR rows j in ascending order — the dense
   // gemm(false, false) k-loop, which also skips b[i, j] == 0, so the skip is
   // mirrored here for bitwise agreement.
-  parallel_for(n_rows, [&](int64_t i) {
+  for (int64_t i = 0; i < n_rows; ++i) {
     const float* brow = b + i * a.rows;
     float* crow = c + i * a.cols;
     std::memset(crow, 0, static_cast<size_t>(a.cols) * sizeof(float));
@@ -245,7 +244,7 @@ void spmm_dn_reference(const sparse::CsrMatrix& a, const float* b, int64_t n_row
         crow[a.col_idx[static_cast<size_t>(p)]] += bv * a.values[static_cast<size_t>(p)];
       }
     }
-  });
+  }
 }
 
 void spmm_tn_reference(const sparse::CsrMatrix& a, const float* b, int64_t n, float* c) {
@@ -270,7 +269,7 @@ void masked_grad_dot_reference(const sparse::CsrMatrix& s, const float* a, const
   // Per structure entry: one contiguous dot over t ascending, then a single
   // add into grad — the dense gemm(false, true) dot-product path restricted
   // to the mask's support. Rows of grad are disjoint across CSR rows.
-  parallel_for(s.rows, [&](int64_t i) {
+  for (int64_t i = 0; i < s.rows; ++i) {
     const float* arow = a + i * n;
     float* grow = grad + i * s.cols;
     for (int64_t p = s.row_ptr[static_cast<size_t>(i)]; p < s.row_ptr[static_cast<size_t>(i) + 1];
@@ -280,7 +279,7 @@ void masked_grad_dot_reference(const sparse::CsrMatrix& s, const float* a, const
       for (int64_t t = 0; t < n; ++t) acc += arow[t] * brow[t];
       grow[s.col_idx[static_cast<size_t>(p)]] += acc;
     }
-  });
+  }
 }
 
 void masked_grad_tn_reference(const sparse::CsrMatrix& s, const float* a, const float* b, int64_t n,
@@ -288,7 +287,7 @@ void masked_grad_tn_reference(const sparse::CsrMatrix& s, const float* a, const 
   // Per structure row i: accumulate over samples r ascending, skipping
   // a[r, i] == 0 — the dense gemm(true, false) k-loop order and skip,
   // restricted to the mask's support. Rows of grad are disjoint.
-  parallel_for(s.rows, [&](int64_t i) {
+  for (int64_t i = 0; i < s.rows; ++i) {
     float* grow = grad + i * s.cols;
     for (int64_t r = 0; r < n; ++r) {
       const float av = a[r * s.rows + i];
@@ -299,7 +298,7 @@ void masked_grad_tn_reference(const sparse::CsrMatrix& s, const float* a, const 
         grow[s.col_idx[static_cast<size_t>(p)]] += av * brow[s.col_idx[static_cast<size_t>(p)]];
       }
     }
-  });
+  }
 }
 
 }  // namespace fedtiny::kernels

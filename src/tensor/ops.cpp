@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "tensor/kernels.h"
-#include "tensor/parallel.h"
 
 namespace fedtiny::ops {
 

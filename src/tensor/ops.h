@@ -2,9 +2,8 @@
 // and a handful of elementwise helpers. GEMM and im2col/col2im dispatch on
 // the process-wide kernel engine mode (tensor/kernels.h): `reference` scalar
 // loops (the bitwise oracle) or vectorized `fast` implementations (the
-// default). The remaining helpers are plain loops with OpenMP-parallel outer
-// dimensions — fast enough for the scaled-down reproduction workloads,
-// dependency-free.
+// default). The remaining helpers are plain serial loops — fast enough for
+// the scaled-down reproduction workloads, dependency-free.
 #pragma once
 
 #include <cstdint>

@@ -1,43 +1,46 @@
-// Process-wide execution resources.
+// Process-wide execution resources: one thread budget for the whole process.
 //
-// Two levels of parallelism share one machine:
-//   - coarse-grained pools (independent experiment runs in harness::run_all,
-//     sampled clients in the federated round loop) go through the Executor,
-//     which holds the single global thread budget — nested regions
-//     (runs x clients) acquire lanes from the same budget and degrade to
-//     inline execution instead of oversubscribing;
-//   - kernel-level parallelism (parallel_for) is OFF by default: the
-//     reproduction's tensors are small (tiny-model regime), where per-call
-//     OpenMP region overhead dominates any speedup. Set FEDTINY_THREADS=N or
-//     call set_parallelism(N) to opt into kernel threading for single large
-//     runs.
+// The Executor holds the single global budget of extra worker threads.
+// Coarse-grained pools (independent experiment runs in harness::run_all,
+// sampled clients in the federated round loop) take LaneSets from it, and
+// fast kernels (GEMM panels, conv data movers) take KernelLanes from it and
+// run on the persistent KernelPool. Nested regions (runs x clients x kernel
+// bands) acquire lanes from the same budget and degrade to inline execution
+// instead of oversubscribing. Every other loop in the engine is serial.
 #pragma once
 
 #include <atomic>
+#include <charconv>
 #include <condition_variable>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <optional>
+#include <string_view>
 #include <thread>
 #include <type_traits>
 #include <vector>
 
 namespace fedtiny {
 
-namespace detail {
-inline int& parallelism_slot() {
-  static int value = [] {
-    const char* env = std::getenv("FEDTINY_THREADS");
-    const int n = env != nullptr ? std::atoi(env) : 1;
-    return n >= 1 ? n : 1;
-  }();
-  return value;
-}
-}  // namespace detail
+/// Kernel threads outside the Executor budget: always 1. Kept only because
+/// the benchmark package (perfbench/src/main.cpp) pins and reports it; goes
+/// when that call does.
+inline int parallelism() { return 1; }
+inline void set_parallelism(int /*ignored*/) {}
 
-/// Number of threads parallel_for may use (>= 1).
-inline int parallelism() { return detail::parallelism_slot(); }
-inline void set_parallelism(int n) { detail::parallelism_slot() = n >= 1 ? n : 1; }
+/// Strict thread-count parse: the whole text is a base-10 integer >= 0.
+/// Returns std::nullopt for empty, malformed ("two", "4x", " 4") or negative
+/// text; callers treat empty as unset and warn about the rest.
+inline std::optional<int> parse_thread_count(std::string_view text) {
+  int n = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), n);
+  if (text.empty() || ec != std::errc{} || end != text.data() + text.size() || n < 0) {
+    return std::nullopt;
+  }
+  return n;
+}
 
 /// Default worker-lane count for coarse-grained pools (experiment runs,
 /// client training): hardware threads minus two, at least one.
@@ -62,8 +65,9 @@ class Executor {
   }
 
   /// Maximum extra worker threads alive at once (the caller's thread rides
-  /// for free). Defaults to default_pool_workers(); FEDTINY_THREAD_BUDGET
-  /// overrides.
+  /// for free). Defaults to default_pool_workers(); FEDTINY_THREAD_BUDGET (a
+  /// non-negative integer) overrides, and a malformed value warns and keeps
+  /// the default.
   [[nodiscard]] int thread_budget() const { return budget_.load(std::memory_order_relaxed); }
   void set_thread_budget(int n) { budget_.store(n >= 0 ? n : 0, std::memory_order_relaxed); }
   [[nodiscard]] int threads_in_use() const { return in_use_.load(std::memory_order_relaxed); }
@@ -88,10 +92,22 @@ class Executor {
   }
 
  private:
+  // The Executor owns FEDTINY_THREAD_BUDGET's diagnostic (tensor/ sits below
+  // the harness's warn_ambient); the constructor runs once per process.
   Executor() {
+    int n = default_pool_workers();
     const char* env = std::getenv("FEDTINY_THREAD_BUDGET");
-    const int n = env != nullptr ? std::atoi(env) : default_pool_workers();
-    budget_.store(n >= 0 ? n : 0, std::memory_order_relaxed);
+    if (env != nullptr && *env != '\0') {
+      if (const auto parsed = parse_thread_count(env)) {
+        n = *parsed;
+      } else {
+        std::fprintf(stderr,
+                     "FEDTINY_THREAD_BUDGET=%s ignored: expected a non-negative integer; "
+                     "using %d\n",
+                     env, n);
+      }
+    }
+    budget_.store(n, std::memory_order_relaxed);
   }
 
   std::atomic<int> budget_{0};
@@ -357,24 +373,6 @@ void pool_for_bands(int64_t n, int64_t grain, int extra, Fn&& fn) {
         (*x->fn)(r.begin, r.end);
       },
       &ctx);
-}
-
-/// Invoke fn(i) for i in [0, n). Iterations must be independent.
-template <typename Fn>
-void parallel_for(int64_t n, Fn&& fn) {
-#if defined(_OPENMP)
-  const int threads = parallelism();
-  if (threads > 1 && n >= 4) {
-#pragma omp parallel for schedule(static) num_threads(threads)
-    for (int64_t i = 0; i < n; ++i) {
-      fn(i);
-    }
-    return;
-  }
-#endif
-  for (int64_t i = 0; i < n; ++i) {
-    fn(i);
-  }
 }
 
 }  // namespace fedtiny

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "tensor/kernels.h"
-#include "tensor/parallel.h"
 
 namespace fedtiny::sparse {
 
@@ -149,14 +148,14 @@ void spmm(const CsrMatrix& a, const float* b, int64_t n, float* c, bool accumula
 }
 
 void spmv(const CsrMatrix& a, const float* x, float* y) {
-  parallel_for(a.rows, [&](int64_t i) {
+  for (int64_t i = 0; i < a.rows; ++i) {
     float s = 0.0f;
     for (int64_t p = a.row_ptr[static_cast<size_t>(i)]; p < a.row_ptr[static_cast<size_t>(i) + 1];
          ++p) {
       s += a.values[static_cast<size_t>(p)] * x[a.col_idx[static_cast<size_t>(p)]];
     }
     y[i] = s;
-  });
+  }
 }
 
 void spmm_dn(const CsrMatrix& a, const float* b, int64_t n_rows, float* c) {

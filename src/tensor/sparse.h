@@ -138,8 +138,8 @@ void spmm_nt(const CsrMatrix& a, const float* b, int64_t n_rows, float* c);
 void spmm_dn(const CsrMatrix& a, const float* b, int64_t n_rows, float* c);
 
 /// C[a.cols, n] = A^T * B[a.rows, n], A in CSR, B/C dense row-major.
-/// Conv2d backward dcols = W^T * dY. Serial scatter (rows of C are shared
-/// across CSR rows): do not wrap in parallel_for.
+/// Conv2d backward dcols = W^T * dY. Runs serially: the reference scatter
+/// writes each row of C from many CSR rows.
 void spmm_tn(const CsrMatrix& a, const float* b, int64_t n, float* c);
 
 /// Weight-gradient accumulation restricted to the structure of `s` (dot

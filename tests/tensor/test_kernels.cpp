@@ -514,82 +514,6 @@ TEST(KernelParity, PublicEntryPointsDispatchOnMode) {
   EXPECT_EQ(0, std::memcmp(via_ops.data(), direct.data(), via_ops.size() * sizeof(float)));
 }
 
-// ---- Fast-mode determinism --------------------------------------------------
-// The blocking order is fixed, so kernel results must be bitwise identical
-// for any kernel thread count (and, transitively, any worker count — the
-// coarse pools never split a kernel).
-
-TEST(KernelDeterminism, FastBitwiseStableAcrossThreadCounts) {
-  ScopedMode pin(Mode::kFast);
-  Rng rng(61);
-  const int64_t m = 61, n = 45, k = 77;
-  const auto a = random_dense(m * k, rng);
-  const auto b = random_dense(k * n, rng);
-  auto w = random_dense(m * k, rng);
-  const auto csr = masked_csr(w, m, k, 0.2, rng);
-  const auto bx = random_dense(n * m, rng);
-
-  const int old_threads = parallelism();
-  std::vector<float> c1(static_cast<size_t>(m * n)), c2(c1);
-  std::vector<float> s1(static_cast<size_t>(m * n)), s2(s1);
-  std::vector<float> d1(static_cast<size_t>(n * k)), d2(d1);
-
-  set_parallelism(1);
-  gemm_fast(false, false, m, n, k, 1.0f, a.data(), b.data(), 0.0f, c1.data());
-  spmm_fast(csr, b.data(), n, s1.data(), false);
-  spmm_dn_fast(csr, bx.data(), n, d1.data());
-
-  set_parallelism(4);
-  gemm_fast(false, false, m, n, k, 1.0f, a.data(), b.data(), 0.0f, c2.data());
-  spmm_fast(csr, b.data(), n, s2.data(), false);
-  spmm_dn_fast(csr, bx.data(), n, d2.data());
-  set_parallelism(old_threads);
-
-  EXPECT_EQ(0, std::memcmp(c1.data(), c2.data(), c1.size() * sizeof(float)));
-  EXPECT_EQ(0, std::memcmp(s1.data(), s2.data(), s1.size() * sizeof(float)));
-  EXPECT_EQ(0, std::memcmp(d1.data(), d2.data(), d1.size() * sizeof(float)));
-}
-
-TEST(KernelDeterminism, PackedGemmAndPanelizedCsrStableAcrossThreadCounts) {
-  // Shapes chosen to engage the panel-packed GEMM path (k*n*4 > 256 KiB) and
-  // the multi-panel CSR kernels (cols > the default 256-column panel width).
-  ScopedMode pin(Mode::kFast);
-  Rng rng(101);
-  const int64_t m = 48, n = 600, k = 320;
-  const auto a = random_dense(m * k, rng);
-  const auto b = random_dense(std::max(k * n, n * k), rng);
-  auto w = random_dense(m * 600, rng);
-  auto csr = masked_csr(w, m, 600, 0.15, rng);
-  sparse::build_panels(csr, sparse::kDefaultPanelWidth);  // cols 600 => 3 panels
-  ASSERT_TRUE(csr.has_panels());
-  const auto bx = random_dense(17 * 600, rng);
-  const auto bm = random_dense(17 * m, rng);
-
-  const int old_threads = parallelism();
-  std::vector<float> nn1(static_cast<size_t>(m * n)), nn2(nn1);
-  std::vector<float> nt1(nn1), nt2(nn1);
-  std::vector<float> p1(static_cast<size_t>(17 * m)), p2(p1);
-  std::vector<float> d1(static_cast<size_t>(17 * 600)), d2(d1);
-
-  set_parallelism(1);
-  gemm_fast(false, false, m, n, k, 1.0f, a.data(), b.data(), 0.0f, nn1.data());
-  gemm_fast(false, true, m, n, k, 1.0f, a.data(), b.data(), 0.0f, nt1.data());
-  spmm_nt_fast(csr, bx.data(), 17, p1.data());
-  spmm_dn_fast(csr, bm.data(), 17, d1.data());
-
-  set_parallelism(3);
-  gemm_fast(false, false, m, n, k, 1.0f, a.data(), b.data(), 0.0f, nn2.data());
-  gemm_fast(false, true, m, n, k, 1.0f, a.data(), b.data(), 0.0f, nt2.data());
-  spmm_nt_fast(csr, bx.data(), 17, p2.data());
-  spmm_dn_fast(csr, bm.data(), 17, d2.data());
-  set_parallelism(old_threads);
-
-  EXPECT_EQ(0, std::memcmp(nn1.data(), nn2.data(), nn1.size() * sizeof(float)));
-  EXPECT_EQ(0, std::memcmp(nt1.data(), nt2.data(), nt1.size() * sizeof(float)));
-  EXPECT_EQ(0, std::memcmp(p1.data(), p2.data(), p1.size() * sizeof(float)));
-  EXPECT_EQ(0, std::memcmp(d1.data(), d2.data(), d1.size() * sizeof(float)));
-}
-
 // ---- Kernel-lane determinism ------------------------------------------------
 // The panel-parallel engine threads row bands and pack strips over Executor
 // kernel lanes. Fixed blocking + grain-aligned bands mean every lane count
@@ -605,10 +529,11 @@ TEST(KernelDeterminism, GemmBitwiseStableAcrossKernelLaneCounts) {
     int64_t m, n, k;
   };
   // Tile-edge shapes (m % kMr, n % kNr nonzero) across the dispatch paths:
-  // unpacked NN, packed multi-panel NN, TN, packed NT, unpacked NT.
+  // unpacked NN, packed multi-panel NN, TN, packed NT, unpacked NT, and
+  // packed NT at the packed-NN shape.
   const Shape shapes[] = {
       {false, false, 61, 45, 77},   {false, false, 48, 600, 320}, {true, false, 33, 50, 40},
-      {false, true, 30, 530, 256},  {false, true, 9, 33, 21},
+      {false, true, 30, 530, 256},  {false, true, 9, 33, 21},     {false, true, 48, 600, 320},
   };
   for (const auto& s : shapes) {
     const auto a = random_dense(s.ta ? s.k * s.m : s.m * s.k, rng);

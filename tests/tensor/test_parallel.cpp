@@ -6,36 +6,27 @@
 #include <atomic>
 #include <cstdint>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 namespace fedtiny {
 namespace {
 
-TEST(Parallel, CoversAllIndicesExactlyOnce) {
-  std::vector<std::atomic<int>> hits(100);
-  parallel_for(100, [&](int64_t i) { hits[static_cast<size_t>(i)].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+// ---- FEDTINY_THREAD_BUDGET / FEDTINY_WORKERS parsing -------------------------
+
+TEST(ThreadCount, ParsesWholeNonNegativeIntegers) {
+  EXPECT_EQ(parse_thread_count("0"), 0);
+  EXPECT_EQ(parse_thread_count("3"), 3);
+  EXPECT_EQ(parse_thread_count("64"), 64);
+  EXPECT_EQ(parse_thread_count("007"), 7);
 }
 
-TEST(Parallel, ZeroIterations) {
-  bool touched = false;
-  parallel_for(0, [&](int64_t) { touched = true; });
-  EXPECT_FALSE(touched);
-}
-
-TEST(Parallel, DefaultIsSerial) {
-  // Kernel threading is opt-in (see parallel.h); default parallelism is 1
-  // unless FEDTINY_THREADS overrides it, which tests do not set.
-  EXPECT_GE(parallelism(), 1);
-}
-
-TEST(Parallel, SetParallelismRoundTrips) {
-  const int before = parallelism();
-  set_parallelism(4);
-  EXPECT_EQ(parallelism(), 4);
-  set_parallelism(0);  // clamped to 1
-  EXPECT_EQ(parallelism(), 1);
-  set_parallelism(before);
+TEST(ThreadCount, RejectsMalformedNegativeAndEmptyText) {
+  // "two" must not read as 0 (a serial process), nor "4x" as 4.
+  for (const char* text : {"two", "4x", " 4", "4 ", "+4", "1.5", "0x4", "99999999999", "-1", "-12",
+                           ""}) {
+    EXPECT_EQ(parse_thread_count(text), std::nullopt) << "'" << text << "'";
+  }
 }
 
 TEST(Executor, BudgetAccountingRoundTrips) {
@@ -213,18 +204,6 @@ TEST(PoolForBands, ZeroWorkNeverInvokes) {
   bool touched = false;
   pool_for_bands(0, 4, 3, [&](int64_t, int64_t) { touched = true; });
   EXPECT_FALSE(touched);
-}
-
-TEST(Parallel, ParallelMatchesSerialResult) {
-  const int before = parallelism();
-  std::vector<double> serial(1000), parallel(1000);
-  set_parallelism(1);
-  parallel_for(1000, [&](int64_t i) { serial[static_cast<size_t>(i)] = static_cast<double>(i * i); });
-  set_parallelism(8);
-  parallel_for(1000,
-               [&](int64_t i) { parallel[static_cast<size_t>(i)] = static_cast<double>(i * i); });
-  set_parallelism(before);
-  EXPECT_EQ(serial, parallel);
 }
 
 }  // namespace
